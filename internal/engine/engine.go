@@ -335,17 +335,8 @@ func (e *Engine) Submit(sp Spec) (*Job, error) {
 	// file I/O here, and the fleet's tiered cache may consult a peer
 	// over HTTP — neither may serialize every other Submit.
 	if v, ok := e.cache.Get(hash); ok {
-		// Served entirely from the cache: the job is born terminal and
-		// is deliberately NOT entered into the index — indexing it
-		// would grow e.jobs by one entry per distinct warm spec, and
-		// every read for it can be answered from the cache again.
-		j := newJob(sp, hash)
-		j.mu.Lock()
-		j.cached = true
-		j.finishLocked(v, nil, Done)
-		j.mu.Unlock()
 		e.cCacheHits.Inc()
-		return j, nil
+		return cachedJob(sp, hash, v), nil
 	}
 
 	e.mu.Lock()
@@ -354,10 +345,20 @@ func (e *Engine) Submit(sp Spec) (*Job, error) {
 		return nil, ErrDraining
 	}
 	// Re-check after the unlocked probe: a concurrent Submit of the
-	// same spec may have registered the job meanwhile (singleflight).
-	if j, ok := e.jobs[hash]; ok && !j.State().Terminal() {
-		e.cDedup.Inc()
-		return j, nil
+	// same spec may have registered the job meanwhile (singleflight),
+	// or that job may have finished after the probe missed. runJob
+	// memoizes before publishing Done, so a Done job here is a cache
+	// hit that the probe just raced.
+	if j, ok := e.jobs[hash]; ok {
+		switch st := j.State(); {
+		case !st.Terminal():
+			e.cDedup.Inc()
+			return j, nil
+		case st == Done:
+			v, _ := j.Result() // Done is final, so Result cannot fail
+			e.cCacheHits.Inc()
+			return cachedJob(sp, hash, v), nil
+		}
 	}
 	j := newJob(sp, hash)
 	select {
@@ -369,6 +370,19 @@ func (e *Engine) Submit(sp Spec) (*Job, error) {
 	e.jobs[hash] = j
 	e.cSubmitted.Inc()
 	return j, nil
+}
+
+// cachedJob returns a job born Done with a result served from the
+// cache. It is deliberately NOT entered into the index — indexing it
+// would grow e.jobs by one entry per distinct warm spec, and every read
+// for it can be answered from the cache again.
+func cachedJob(sp Spec, hash string, v []byte) *Job {
+	j := newJob(sp, hash)
+	j.mu.Lock()
+	j.cached = true
+	j.finishLocked(v, nil, Done)
+	j.mu.Unlock()
+	return j
 }
 
 // Job returns the job for a hash, live or completed.
@@ -564,19 +578,24 @@ func (e *Engine) runJob(j *Job) {
 	e.running--
 	e.mu.Unlock()
 
-	j.mu.Lock()
-	switch {
-	case err == nil:
+	if err == nil {
+		// Memoize before publishing Done, outside the job lock: a waiter
+		// that resubmits the spec the moment Done is visible finds a
+		// terminal index entry and must then hit the cache, or it would
+		// run the job again. Only a fully successful run ever reaches
+		// Put, and Put's disk write is atomic, so a cancelled or failed
+		// writer cannot corrupt the cache. A failed memoization write
+		// loses only future speedups.
+		_ = e.cache.Put(j.Hash, result)
+		j.mu.Lock()
 		j.finishLocked(result, nil, Done)
 		j.mu.Unlock()
-		// Memoize outside the job lock. Only a fully successful run
-		// ever reaches Put, and Put's disk write is atomic, so a
-		// cancelled or failed writer cannot corrupt the cache. A failed
-		// memoization write loses only future speedups.
-		_ = e.cache.Put(j.Hash, result)
 		e.cDone.Inc()
 		e.retire(j.Hash)
 		return
+	}
+	j.mu.Lock()
+	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		j.finishLocked(nil, fmt.Errorf("engine: job %s timed out after %v: %w", j.Spec, e.timeout, err), Failed)
 		e.cTimeouts.Inc()

@@ -70,6 +70,7 @@ type launch struct {
 	cuActive   []int   // workgroups currently resident per CU
 	cuWaveDone []int   // per-CU finished-wave count (workgroup retirement)
 	barriers   map[int]*barrier
+	waves      []*waveRun // every started wavefront, for Abort
 }
 
 type barrier struct {
@@ -104,6 +105,19 @@ func (d *Dispatcher) Launch(k *prog.Kernel, h *prog.KernelHandle) {
 	d.queue = append(d.queue, &launch{k: k, h: h})
 	if d.active == nil {
 		d.startNext()
+	}
+}
+
+// Abort stops the running kernel's unfinished wavefronts, releasing the
+// coroutines a run that ends early (MaxTicks, interrupt, deadlock)
+// would otherwise strand. Only the active launch can have started
+// waves: a kernel finishes only after all of its waves have.
+func (d *Dispatcher) Abort() {
+	if d.active == nil {
+		return
+	}
+	for _, wr := range d.active.waves {
+		wr.w.Abort()
 	}
 }
 
@@ -152,6 +166,7 @@ func (d *Dispatcher) startWorkgroup(l *launch, cu, wg int) {
 		global := wg*l.k.WavesPerWG + lane
 		wr := &waveRun{d: d, l: l, cu: cu}
 		wr.w = prog.NewWave(wg, lane, global, l.k.Fn)
+		l.waves = append(l.waves, wr)
 		d.engine.Schedule(0, wr.step)
 	}
 }

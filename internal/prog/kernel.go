@@ -74,44 +74,14 @@ type Wave struct {
 	Lane   int // wavefront index within the workgroup
 	Global int // global wavefront index
 
-	ops  chan WaveOp
-	res  chan []uint64
-	kill chan struct{}
+	coroutine[WaveOp, []uint64]
 }
 
-// NewWave starts the wavefront program on its own goroutine.
+// NewWave wraps the wavefront program as a coroutine (see NewCPUThread).
 func NewWave(wg, lane, global int, fn func(*Wave)) *Wave {
-	w := &Wave{
-		WG: wg, Lane: lane, Global: global,
-		ops:  make(chan WaveOp),
-		res:  make(chan []uint64),
-		kill: make(chan struct{}),
-	}
-	//lockcheck:spawn wavefront coroutine — the kill channel aborts it when the executor stops
-	go func() {
-		defer func() {
-			if r := recover(); r != nil && r != errAborted {
-				panic(r)
-			}
-		}()
-		defer close(w.ops)
-		fn(w)
-	}()
+	w := &Wave{WG: wg, Lane: lane, Global: global}
+	w.start(func() { fn(w) })
 	return w
-}
-
-func (w *Wave) do(op WaveOp) []uint64 {
-	select {
-	case w.ops <- op:
-	case <-w.kill:
-		panic(errAborted)
-	}
-	select {
-	case v := <-w.res:
-		return v
-	case <-w.kill:
-		panic(errAborted)
-	}
 }
 
 // VecLoad performs a coalesced vector load of the given word addresses
@@ -164,24 +134,6 @@ func (w *Wave) Barrier() { w.do(WaveOp{Kind: WaveBarrier}) }
 
 // Compute advances the wavefront by the given number of GPU cycles.
 func (w *Wave) Compute(gpuCycles uint64) { w.do(WaveOp{Kind: WaveCompute, Cycles: gpuCycles}) }
-
-// NextOp is the executor-side rendezvous (see CPUThread.NextOp).
-func (w *Wave) NextOp() (WaveOp, bool) {
-	op, ok := <-w.ops
-	return op, ok
-}
-
-// Complete delivers results and resumes the wavefront.
-func (w *Wave) Complete(v []uint64) { w.res <- v }
-
-// Abort tears the wavefront down.
-func (w *Wave) Abort() {
-	select {
-	case <-w.kill:
-	default:
-		close(w.kill)
-	}
-}
 
 // Arena is a bump allocator carving benchmark data structures out of
 // the unified memory space.

@@ -2,11 +2,12 @@
 // GPU wavefronts written as ordinary Go functions that issue memory
 // operations through a context object.
 //
-// Each thread/wavefront runs on its own goroutine, but execution is
-// fully deterministic: the single-threaded simulation engine hands
-// control to exactly one workload goroutine at a time through a
-// synchronous channel rendezvous, and takes it back before scheduling
-// anything else ("share memory by communicating"). Loads observe the
+// Each thread/wavefront is a coroutine (iter.Pull) resumed by its
+// executor on the simulation goroutine: NextOp runs the workload until
+// it issues its next operation, Complete stores that operation's
+// result, and the following NextOp hands the result back. No workload
+// code runs between those calls, so execution is as deterministic as
+// the single-threaded event loop itself. Loads observe the
 // functional memory at their completion time; atomics read-modify-write
 // at their serialization point (L2 ownership for CPU atomics, TCC or
 // directory for GPU atomics), matching the visibility model of the
@@ -19,7 +20,7 @@ import (
 	"hscsim/internal/memdata"
 )
 
-// errAborted is panicked through workload goroutines when a simulation
+// errAborted is panicked through a workload's stack when a simulation
 // is torn down early.
 var errAborted = fmt.Errorf("prog: workload aborted")
 
@@ -54,51 +55,22 @@ type Op struct {
 
 // CPUThread is the context a workload CPU-thread function runs against.
 type CPUThread struct {
-	id   int
-	ops  chan Op
-	res  chan uint64
-	kill chan struct{}
+	coroutine[Op, uint64]
+	id int
 }
 
-// NewCPUThread starts fn on its own goroutine and returns the context
-// the executor pulls operations from. fn must communicate with the
-// simulation only through the context's methods.
+// NewCPUThread wraps fn as a coroutine and returns the context the
+// executor pulls operations from. fn does not run until the first
+// NextOp and must communicate with the simulation only through the
+// context's methods.
 func NewCPUThread(id int, fn func(*CPUThread)) *CPUThread {
-	t := &CPUThread{
-		id:   id,
-		ops:  make(chan Op),
-		res:  make(chan uint64),
-		kill: make(chan struct{}),
-	}
-	//lockcheck:spawn workload coroutine — the kill channel aborts it when the executor stops
-	go func() {
-		defer func() {
-			if r := recover(); r != nil && r != errAborted {
-				panic(r)
-			}
-		}()
-		defer close(t.ops)
-		fn(t)
-	}()
+	t := &CPUThread{id: id}
+	t.start(func() { fn(t) })
 	return t
 }
 
 // ID returns the thread's index.
 func (t *CPUThread) ID() int { return t.id }
-
-func (t *CPUThread) do(op Op) uint64 {
-	select {
-	case t.ops <- op:
-	case <-t.kill:
-		panic(errAborted)
-	}
-	select {
-	case v := <-t.res:
-		return v
-	case <-t.kill:
-		panic(errAborted)
-	}
-}
 
 // Load reads the 64-bit word at a.
 func (t *CPUThread) Load(a memdata.Addr) uint64 { return t.do(Op{Kind: OpLoad, Addr: a}) }
@@ -161,24 +133,4 @@ func (t *CPUThread) DMAIn(base memdata.Addr, length int) {
 // requests at the directory), blocking until the transfer completes.
 func (t *CPUThread) DMAOut(base memdata.Addr, length int) {
 	t.do(Op{Kind: OpDMA, Addr: base, DMABytes: length, DMAWrite: false})
-}
-
-// NextOp is the executor side of the rendezvous: it blocks until the
-// thread issues its next operation or returns (ok == false).
-func (t *CPUThread) NextOp() (Op, bool) {
-	op, ok := <-t.ops
-	return op, ok
-}
-
-// Complete delivers an operation's result and hands control back to the
-// thread until it issues its next operation.
-func (t *CPUThread) Complete(v uint64) { t.res <- v }
-
-// Abort tears the thread down (end-of-simulation cleanup).
-func (t *CPUThread) Abort() {
-	select {
-	case <-t.kill:
-	default:
-		close(t.kill)
-	}
 }

@@ -103,11 +103,45 @@ func TestAbortUnblocksThread(t *testing.T) {
 	}
 	th.Abort()
 	th.Abort() // idempotent
-	// The goroutine unwinds via the abort sentinel; the ops channel
-	// closes, so NextOp reports completion.
+	// The coroutine unwinds via the abort sentinel, so NextOp reports
+	// completion.
 	if _, ok := th.NextOp(); ok {
 		t.Fatal("aborted thread issued another op")
 	}
+	// A thread aborted before its first NextOp never runs at all.
+	ran := false
+	idle := NewCPUThread(1, func(*CPUThread) { ran = true })
+	idle.Abort()
+	if _, ok := idle.NextOp(); ok || ran {
+		t.Fatalf("thread aborted before start ran (ok=%v ran=%v)", ok, ran)
+	}
+}
+
+// TestWorkloadPanicSurfacesFromNextOp pins where a workload bug shows
+// up: a panic other than the abort sentinel propagates out of NextOp on
+// the executor's goroutine, where the caller can see and recover it,
+// instead of crashing the process from a goroutine of its own.
+func TestWorkloadPanicSurfacesFromNextOp(t *testing.T) {
+	th := NewCPUThread(0, func(c *CPUThread) {
+		c.Load(0)
+		panic("workload bug")
+	})
+	if _, ok := th.NextOp(); !ok {
+		t.Fatal("no first op")
+	}
+	th.Complete(0)
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		th.NextOp()
+		return nil
+	}()
+	if got != "workload bug" {
+		t.Fatalf("NextOp panicked with %v, want the workload's panic", got)
+	}
+	if _, ok := th.NextOp(); ok {
+		t.Fatal("panicked thread issued another op")
+	}
+	th.Abort() // no-op on a finished thread
 }
 
 func TestDMAOps(t *testing.T) {

@@ -1,9 +1,11 @@
-// Differential suite: randomized Schedule/At/Cancel/Ticker/Stop
-// programs executed against the calendar-queue engine (both the closure
-// and the dispatch form) and the retained seed binary heap
+// Differential suite: randomized Schedule/At/Cancel/Stop programs
+// (plus self-rescheduling periodic events) executed against the
+// calendar-queue engine and the retained seed binary heap
 // (internal/sim/refsched), asserting identical (tick, seq) execution
 // order — same-tick FIFO ties, cancel-after-pop, far-future overflow
 // promotion, window growth, and mixed Run/Step driving all included.
+// Schedule and At are closure adapters over PostAt, so this drives the
+// engine's single dispatch path.
 //
 // The op interpreter consumes the program *from inside event handlers*
 // (each fired event performs the next op), so scheduling, cancelling
@@ -21,11 +23,10 @@ import (
 	"hscsim/internal/sim/refsched"
 )
 
-// scheduler abstracts the three implementations under test.
+// scheduler abstracts the two implementations under test.
 type scheduler interface {
 	schedule(d Tick, fn func()) (cancel func())
 	at(t Tick, fn func()) (cancel func())
-	ticker(p Tick, fn func() bool)
 	stop()
 	run() error
 	step() bool
@@ -45,9 +46,8 @@ func (c calClosure) at(t Tick, fn func()) func() {
 	h := c.e.At(t, fn)
 	return func() { c.e.Cancel(h) }
 }
-func (c calClosure) ticker(p Tick, fn func() bool) { c.e.Ticker(p, fn) }
-func (c calClosure) stop()                         { c.e.Stop() }
-func (c calClosure) run() error                    { return c.e.Run() }
+func (c calClosure) stop()      { c.e.Stop() }
+func (c calClosure) run() error { return c.e.Run() }
 func (c calClosure) step() bool {
 	ok, err := c.e.Step()
 	if err != nil {
@@ -58,54 +58,6 @@ func (c calClosure) step() bool {
 func (c calClosure) now() Tick        { return c.e.now }
 func (c calClosure) executed() uint64 { return c.e.Executed() }
 func (c calClosure) pending() int     { return c.e.Pending() }
-
-// funcHandler adapts the dispatch form back to closures so calPost can
-// run the same programs: obj carries the func, kind/arg are ignored.
-type funcHandler struct{}
-
-func (funcHandler) OnEvent(kind uint8, arg uint64, obj any) { obj.(func())() }
-
-// calPost drives the calendar engine through the Post/PostAt dispatch
-// form, proving it orders identically to the closure form.
-type calPost struct {
-	e *Engine
-	h funcHandler
-}
-
-func (c *calPost) schedule(d Tick, fn func()) func() {
-	h := c.e.Post(d, &c.h, 0, 0, fn)
-	return func() { c.e.Cancel(h) }
-}
-func (c *calPost) at(t Tick, fn func()) func() {
-	h := c.e.PostAt(t, &c.h, 0, 0, fn)
-	return func() { c.e.Cancel(h) }
-}
-func (c *calPost) ticker(p Tick, fn func() bool) {
-	// Ticker uses Schedule internally in both engines; rebuild it on
-	// Post so the dispatch form carries the recurrence too.
-	if p == 0 {
-		panic("sim: zero ticker period")
-	}
-	var step func()
-	step = func() {
-		if fn() {
-			c.schedule(p, step)
-		}
-	}
-	c.schedule(p, step)
-}
-func (c *calPost) stop()      { c.e.Stop() }
-func (c *calPost) run() error { return c.e.Run() }
-func (c *calPost) step() bool {
-	ok, err := c.e.Step()
-	if err != nil {
-		panic(err)
-	}
-	return ok
-}
-func (c *calPost) now() Tick        { return c.e.now }
-func (c *calPost) executed() uint64 { return c.e.Executed() }
-func (c *calPost) pending() int     { return c.e.Pending() }
 
 // refHeap drives the seed binary-heap oracle.
 type refHeap struct{ e *refsched.Engine }
@@ -118,20 +70,19 @@ func (r refHeap) at(t Tick, fn func()) func() {
 	ev := r.e.At(refsched.Tick(t), fn)
 	return func() { r.e.Cancel(ev) }
 }
-func (r refHeap) ticker(p Tick, fn func() bool) { r.e.Ticker(refsched.Tick(p), fn) }
-func (r refHeap) stop()                         { r.e.Stop() }
-func (r refHeap) run() error                    { return r.e.Run() }
-func (r refHeap) step() bool                    { return r.e.Step() }
-func (r refHeap) now() Tick                     { return Tick(r.e.Now()) }
-func (r refHeap) executed() uint64              { return r.e.Executed() }
-func (r refHeap) pending() int                  { return r.e.Pending() }
+func (r refHeap) stop()            { r.e.Stop() }
+func (r refHeap) run() error       { return r.e.Run() }
+func (r refHeap) step() bool       { return r.e.Step() }
+func (r refHeap) now() Tick        { return Tick(r.e.Now()) }
+func (r refHeap) executed() uint64 { return r.e.Executed() }
+func (r refHeap) pending() int     { return r.e.Pending() }
 
 // A program is a byte string decoded 3 bytes per op.
 const (
 	opSchedule = iota // schedule(delay, logging event); delay may be far-future
 	opAt              // at(now + offset)
 	opCancel          // cancel the (a<<8|b)-th handle issued so far (fired or not)
-	opTicker          // ticker(1+a%60) firing b%6 times
+	opTicker          // periodic event every 1+a%60 ticks, firing max(1, b%6) times
 	opStop            // stop the current run (rare: only when b%4 == 0)
 	opZero            // schedule(0): same-tick FIFO behind already-queued events
 	opFar             // schedule far beyond the window: overflow + promotion
@@ -193,14 +144,16 @@ func (p *progState) doOp() {
 	case opTicker:
 		id := p.nextID
 		p.nextID++
-		limit := int(op.b % 6)
-		n := 0
-		p.s.ticker(1+a%60, func() bool {
+		period, limit, n := 1+a%60, int(op.b%6), 0
+		var tick func()
+		tick = func() {
 			p.log = append(p.log, fmt.Sprintf("t%d@%d", id, p.s.now()))
 			p.doOp()
-			n++
-			return n < limit
-		})
+			if n++; n < limit {
+				p.s.schedule(period, tick)
+			}
+		}
+		p.s.schedule(period, tick)
 	case opStop:
 		if op.b%4 == 0 {
 			p.log = append(p.log, fmt.Sprintf("stop@%d", p.s.now()))
@@ -250,8 +203,8 @@ func runProgram(s scheduler, ops []progOp) *progState {
 	return p
 }
 
-// checkEquivalence runs one program on all three implementations and
-// fails on any observable divergence.
+// checkEquivalence runs one program on both implementations and fails
+// on any observable divergence.
 func checkEquivalence(t *testing.T, data []byte) {
 	t.Helper()
 	ops := decodeProgram(data)
@@ -260,31 +213,28 @@ func checkEquivalence(t *testing.T, data []byte) {
 	}
 	ref := runProgram(refHeap{refsched.NewEngine()}, ops)
 	cal := runProgram(calClosure{NewEngine()}, ops)
-	post := runProgram(&calPost{e: NewEngine()}, ops)
 
-	for name, got := range map[string]*progState{"calendar": cal, "dispatch": post} {
-		if len(got.log) != len(ref.log) {
-			t.Fatalf("%s: %d log entries, reference %d\n%s: %v\nref: %v",
-				name, len(got.log), len(ref.log), name, got.log, ref.log)
+	if len(cal.log) != len(ref.log) {
+		t.Fatalf("calendar: %d log entries, reference %d\ncalendar: %v\nref: %v",
+			len(cal.log), len(ref.log), cal.log, ref.log)
+	}
+	for i := range ref.log {
+		if cal.log[i] != ref.log[i] {
+			t.Fatalf("calendar diverges at entry %d: %q vs reference %q\ncalendar: %v\nref: %v",
+				i, cal.log[i], ref.log[i], cal.log, ref.log)
 		}
-		for i := range ref.log {
-			if got.log[i] != ref.log[i] {
-				t.Fatalf("%s diverges at entry %d: %q vs reference %q\n%s: %v\nref: %v",
-					name, i, got.log[i], ref.log[i], name, got.log, ref.log)
-			}
-		}
-		if got.s.now() != ref.s.now() || got.s.executed() != ref.s.executed() || got.s.pending() != ref.s.pending() {
-			t.Fatalf("%s final state (now=%d exec=%d pend=%d) != reference (now=%d exec=%d pend=%d)",
-				name, got.s.now(), got.s.executed(), got.s.pending(),
-				ref.s.now(), ref.s.executed(), ref.s.pending())
-		}
+	}
+	if cal.s.now() != ref.s.now() || cal.s.executed() != ref.s.executed() || cal.s.pending() != ref.s.pending() {
+		t.Fatalf("calendar final state (now=%d exec=%d pend=%d) != reference (now=%d exec=%d pend=%d)",
+			cal.s.now(), cal.s.executed(), cal.s.pending(),
+			ref.s.now(), ref.s.executed(), ref.s.pending())
 	}
 }
 
 // FuzzSchedulerEquivalence is the fuzz entry; the committed corpus in
 // testdata/fuzz/FuzzSchedulerEquivalence pins programs for same-tick
-// ties, cancel-after-pop, overflow promotion, window growth, tickers,
-// and stop/step interleavings. CI runs it for 10s per push.
+// ties, cancel-after-pop, overflow promotion, window growth, periodic
+// events, and stop/step interleavings. CI runs it for 10s per push.
 func FuzzSchedulerEquivalence(f *testing.F) {
 	// Same-tick FIFO: many schedules with identical delays.
 	f.Add([]byte{0, 7, 0, 0, 7, 0, 0, 7, 0, 5, 0, 0, 5, 0, 0, 0, 7, 0})
@@ -292,7 +242,7 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 0, 9, 0, 2, 0, 0, 2, 0, 1, 0, 5, 0, 2, 0, 0, 2, 0, 3})
 	// Far-future overflow promotion with ties.
 	f.Add([]byte{6, 10, 4, 6, 10, 4, 6, 200, 9, 0, 1, 0, 6, 10, 4})
-	// Tickers and a stop mid-run.
+	// Periodic events and a stop mid-run.
 	f.Add([]byte{3, 9, 5, 3, 30, 3, 0, 40, 0, 4, 0, 0, 0, 2, 0})
 	// Mixed everything.
 	f.Add([]byte{0, 96, 1, 6, 255, 255, 1, 200, 0, 3, 59, 5, 2, 0, 2, 5, 0, 0, 4, 0, 4, 6, 0, 0, 0, 1, 1})

@@ -1,10 +1,11 @@
 // Package refsched preserves the original binary-heap discrete-event
 // scheduler as a test-only reference oracle. It is the seed
-// implementation of internal/sim, kept verbatim (container/heap over
-// (tick, seq)-ordered events, closures only, no pooling) so the
-// differential suite in internal/sim can assert that the calendar-queue
-// engine executes randomized Schedule/At/Cancel/Ticker/Stop programs in
-// exactly the same (tick, seq) order.
+// implementation of internal/sim, kept verbatim apart from the dropped
+// Ticker helper (container/heap over (tick, seq)-ordered events,
+// closures only, no pooling) so the differential suite in internal/sim
+// can assert that the calendar-queue engine executes randomized
+// Schedule/At/Cancel/Stop programs in exactly the same (tick, seq)
+// order.
 //
 // Nothing outside *_test.go files may import this package; production
 // code uses internal/sim. The one intentional semantic difference from
@@ -167,18 +168,4 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev != nil {
 		ev.fn = nil
 	}
-}
-
-// Ticker invokes fn every period ticks until fn returns false.
-func (e *Engine) Ticker(period Tick, fn func() bool) {
-	if period == 0 {
-		panic("refsched: zero ticker period")
-	}
-	var step func()
-	step = func() {
-		if fn() {
-			e.Schedule(period, step)
-		}
-	}
-	e.Schedule(period, step)
 }

@@ -72,14 +72,12 @@ const (
 	evCancelled
 )
 
-// Event is a unit of scheduled work, owned by the engine's pool. An
-// event carries either a closure (fn) or a dispatch triple
-// (target, kind, arg, obj); fn != nil selects the closure form.
+// Event is a unit of scheduled work, owned by the engine's pool: a
+// dispatch to target.OnEvent(kind, arg, obj) at tick when.
 type Event struct {
 	when   Tick
 	seq    uint64
 	arg    uint64
-	fn     func()
 	target Handler
 	obj    any
 	gen    uint32
@@ -172,7 +170,6 @@ func (e *Engine) alloc() *Event {
 func (e *Engine) release(ev *Event) {
 	ev.gen++
 	ev.state = evFree
-	ev.fn = nil
 	ev.target = nil
 	ev.obj = nil
 	e.free = append(e.free, ev)
@@ -181,7 +178,7 @@ func (e *Engine) release(ev *Event) {
 // insert places a queued event into its calendar bucket or, beyond the
 // window, into the overflow heap. Callers guarantee ev.when ≥ now ≥
 // winStart, so the in-window test needs no lower bound. The queue owns
-// the event from here; callers may still read it (Schedule builds the
+// the event from here; callers may still read it (PostAt builds the
 // Handle from ev.gen after inserting) but not release it.
 //
 //msgown:owns ev
@@ -195,38 +192,27 @@ func (e *Engine) insert(ev *Event) {
 	e.size++
 }
 
+// funcHandler is the Handler behind Schedule and At: obj carries the
+// closure to run. It is zero-size and a func value is pointer-shaped,
+// so neither boxes when stored in the Event.
+type funcHandler struct{}
+
+func (funcHandler) OnEvent(_ uint8, _ uint64, obj any) { obj.(func())() }
+
 // Schedule runs fn after delay ticks (0 means "later this tick", after
 // events already queued for the current tick).
 func (e *Engine) Schedule(delay Tick, fn func()) Handle {
-	ev := e.alloc()
-	ev.when = e.now + delay
-	ev.seq = e.seq
-	e.seq++
-	ev.fn = fn
-	ev.state = evQueued
-	e.insert(ev)
-	return Handle{ev, ev.gen}
+	return e.PostAt(e.now+delay, funcHandler{}, 0, 0, fn)
 }
 
 // At runs fn at absolute tick t, which must not be in the past.
 func (e *Engine) At(t Tick, fn func()) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
-	}
-	ev := e.alloc()
-	ev.when = t
-	ev.seq = e.seq
-	e.seq++
-	ev.fn = fn
-	ev.state = evQueued
-	e.insert(ev)
-	return Handle{ev, ev.gen}
+	return e.PostAt(t, funcHandler{}, 0, 0, fn)
 }
 
-// Post schedules a dispatch-form event after delay ticks: when it fires
-// the engine calls target.OnEvent(kind, arg, obj). This is the
-// zero-alloc form the hot delivery paths use — no closure is built, and
-// the Event comes from the pool.
+// Post schedules an event after delay ticks: when it fires the engine
+// calls target.OnEvent(kind, arg, obj). The Event comes from the pool,
+// so a Post whose target and obj are already built allocates nothing.
 func (e *Engine) Post(delay Tick, target Handler, kind uint8, arg uint64, obj any) Handle {
 	return e.PostAt(e.now+delay, target, kind, arg, obj)
 }
@@ -348,14 +334,9 @@ func (e *Engine) step() (bool, error) {
 	// a handler that immediately schedules reuses it without growing
 	// the pool. Safe because ordering depends only on (when, seq),
 	// both assigned at schedule time — see DESIGN.md.
-	if fn := ev.fn; fn != nil {
-		e.release(ev)
-		fn()
-	} else {
-		target, kind, arg, obj := ev.target, ev.kind, ev.arg, ev.obj
-		e.release(ev)
-		target.OnEvent(kind, arg, obj)
-	}
+	target, kind, arg, obj := ev.target, ev.kind, ev.arg, ev.obj
+	e.release(ev)
+	target.OnEvent(kind, arg, obj)
 	e.executed++
 	if e.Interrupt != nil && e.executed%interruptPollInterval == 0 {
 		select {
@@ -405,23 +386,8 @@ func (e *Engine) Cancel(h Handle) {
 	// Leave the entry queued; the pop scan reaps it. Dropping the
 	// payload now lets the GC collect captured state early.
 	h.ev.state = evCancelled
-	h.ev.fn = nil
 	h.ev.target = nil
 	h.ev.obj = nil
-}
-
-// Ticker invokes fn every period ticks until fn returns false.
-func (e *Engine) Ticker(period Tick, fn func() bool) {
-	if period == 0 {
-		panic("sim: zero ticker period")
-	}
-	var step func()
-	step = func() {
-		if fn() {
-			e.Schedule(period, step)
-		}
-	}
-	e.Schedule(period, step)
 }
 
 // overflowHeap is a hand-rolled (when, seq) min-heap over far-future

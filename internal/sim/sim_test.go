@@ -151,39 +151,12 @@ func TestMaxTicksReleasesPoppedEvent(t *testing.T) {
 	if len(e.free) != 1 {
 		t.Fatalf("free list has %d events after MaxTicks abort, want 1 (popped event leaked)", len(e.free))
 	}
-	// The recycled event must be fully neutral: a poisoned fn/obj here
-	// would resurrect the aborted dispatch on the next Schedule.
+	// The recycled event must be fully neutral: a poisoned target/obj
+	// here would resurrect the aborted dispatch on the next Schedule.
 	ev := e.free[0]
-	if ev.fn != nil || ev.target != nil || ev.obj != nil {
+	if ev.target != nil || ev.obj != nil {
 		t.Fatal("released event still references its cancelled dispatch")
 	}
-}
-
-func TestTicker(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.Ticker(10, func() bool {
-		n++
-		return n < 5
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("ticker fired %d times, want 5", n)
-	}
-	if e.Now() != 50 {
-		t.Fatalf("Now = %d, want 50", e.Now())
-	}
-}
-
-func TestTickerZeroPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero ticker period did not panic")
-		}
-	}()
-	NewEngine().Ticker(0, func() bool { return false })
 }
 
 func TestDeterminism(t *testing.T) {

@@ -385,6 +385,7 @@ func (s *System) Run(w Workload) (Results, error) {
 		for _, t := range threads {
 			t.Abort()
 		}
+		s.GPU.Abort()
 	}()
 	for i, t := range threads {
 		s.Cores[i].Run(t, func() { finished++ })

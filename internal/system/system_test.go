@@ -1,6 +1,7 @@
 package system_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -50,6 +51,40 @@ func TestDeadlockDetectedByTickLimit(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected a tick-limit error")
+	}
+}
+
+// TestAbortedRunsReleaseWavefronts pins the stranded-wavefront leak:
+// a run that ends while a kernel is in flight (here MaxTicks; job
+// timeout, cancellation and deadlock take the same teardown) must stop
+// every started wavefront coroutine, not just the CPU threads.
+func TestAbortedRunsReleaseWavefronts(t *testing.T) {
+	spin := &prog.Kernel{Name: "spin", Workgroups: 4, WavesPerWG: 2, Fn: func(w *prog.Wave) {
+		for w.Load(0x2000) == 0 { // never set
+			w.Compute(8)
+		}
+	}}
+	run := func() {
+		cfg := system.Default()
+		cfg.MaxTicks = 50_000
+		s := system.New(cfg)
+		_, err := s.Run(system.Workload{
+			Name: "spin-kernel",
+			Threads: []func(*prog.CPUThread){
+				func(c *prog.CPUThread) { c.Wait(c.Launch(spin)) },
+			},
+		})
+		if err == nil {
+			t.Fatal("expected a tick-limit error")
+		}
+	}
+	run() // warm up any lazily started runtime goroutines
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("goroutines grew from %d to %d over 5 aborted GPU runs (stranded wavefronts)", base, n)
 	}
 }
 
