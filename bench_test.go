@@ -49,28 +49,31 @@ func sharedEngine(b *testing.B) *hscsim.JobEngine {
 	return benchEngine
 }
 
-func evalRun(b *testing.B, bench string, opts hscsim.ProtocolOptions) hscsim.Results {
+// evalRuns runs every bench × variant cell of a figure through the
+// shared engine as one batch and returns the results indexed
+// [bench][variant].
+func evalRuns(b *testing.B, benches []string, variants ...hscsim.ProtocolOptions) [][]hscsim.Results {
 	b.Helper()
-	res, err := sharedEngine(b).RunResults(context.Background(), hscsim.EvalJobSpec(bench, opts))
+	var specs []hscsim.JobSpec
+	for _, bench := range benches {
+		for _, o := range variants {
+			specs = append(specs, hscsim.EvalJobSpec(bench, o))
+		}
+	}
+	raw, err := sharedEngine(b).RunAll(context.Background(), specs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res
-}
-
-// prefetch submits every cell of a sweep up front so the engine's
-// worker pool simulates them concurrently; the figure loop then
-// collects results in order.
-func prefetch(b *testing.B, benches []string, variants ...hscsim.ProtocolOptions) {
-	b.Helper()
-	e := sharedEngine(b)
-	for _, bench := range benches {
-		for _, o := range variants {
-			if _, err := e.Submit(hscsim.EvalJobSpec(bench, o)); err != nil {
+	out := make([][]hscsim.Results, len(benches))
+	for i := range benches {
+		out[i] = make([]hscsim.Results, len(variants))
+		for j := range variants {
+			if out[i][j], err = hscsim.DecodeJobResult(raw[i*len(variants)+j]); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
+	return out
 }
 
 // BenchmarkFig4 measures the %-saved-cycles of each §III optimization
@@ -84,12 +87,10 @@ func BenchmarkFig4(b *testing.B) {
 	for name, opts := range variants {
 		opts := opts
 		b.Run(name, func(b *testing.B) {
-			prefetch(b, hscsim.Benchmarks(), hscsim.ProtocolOptions{}, opts)
 			for i := 0; i < b.N; i++ {
 				var sumSaved float64
-				for _, bench := range hscsim.Benchmarks() {
-					base := evalRun(b, bench, hscsim.ProtocolOptions{})
-					opt := evalRun(b, bench, opts)
+				for _, r := range evalRuns(b, hscsim.Benchmarks(), hscsim.ProtocolOptions{}, opts) {
+					base, opt := r[0], r[1]
 					sumSaved += 100 * (float64(base.Cycles) - float64(opt.Cycles)) / float64(base.Cycles)
 				}
 				b.ReportMetric(sumSaved/float64(len(hscsim.Benchmarks())), "%saved-cycles-avg")
@@ -101,13 +102,11 @@ func BenchmarkFig4(b *testing.B) {
 // BenchmarkFig5 measures directory↔memory accesses under the write-back
 // LLC stack (paper: 50.38% average reduction).
 func BenchmarkFig5(b *testing.B) {
-	prefetch(b, hscsim.Benchmarks(), hscsim.ProtocolOptions{},
-		hscsim.ProtocolOptions{LLCWriteBack: true, UseL3OnWT: true})
 	for i := 0; i < b.N; i++ {
 		var sumRed float64
-		for _, bench := range hscsim.Benchmarks() {
-			base := evalRun(b, bench, hscsim.ProtocolOptions{})
-			wb := evalRun(b, bench, hscsim.ProtocolOptions{LLCWriteBack: true, UseL3OnWT: true})
+		for _, r := range evalRuns(b, hscsim.Benchmarks(), hscsim.ProtocolOptions{},
+			hscsim.ProtocolOptions{LLCWriteBack: true, UseL3OnWT: true}) {
+			base, wb := r[0], r[1]
 			sumRed += 100 * (float64(base.MemAccesses()) - float64(wb.MemAccesses())) / float64(base.MemAccesses())
 		}
 		b.ReportMetric(sumRed/float64(len(hscsim.Benchmarks())), "%mem-reduction-avg")
@@ -124,12 +123,10 @@ func BenchmarkFig6(b *testing.B) {
 	for name, opts := range variants {
 		opts := opts
 		b.Run(name, func(b *testing.B) {
-			prefetch(b, hscsim.CollaborativeBenchmarks(), hscsim.ProtocolOptions{}, opts)
 			for i := 0; i < b.N; i++ {
 				var sumSaved float64
-				for _, bench := range hscsim.CollaborativeBenchmarks() {
-					base := evalRun(b, bench, hscsim.ProtocolOptions{})
-					opt := evalRun(b, bench, opts)
+				for _, r := range evalRuns(b, hscsim.CollaborativeBenchmarks(), hscsim.ProtocolOptions{}, opts) {
+					base, opt := r[0], r[1]
 					sumSaved += 100 * (float64(base.Cycles) - float64(opt.Cycles)) / float64(base.Cycles)
 				}
 				b.ReportMetric(sumSaved/float64(len(hscsim.CollaborativeBenchmarks())), "%saved-cycles-avg")
@@ -148,12 +145,10 @@ func BenchmarkFig7(b *testing.B) {
 	for name, opts := range variants {
 		opts := opts
 		b.Run(name, func(b *testing.B) {
-			prefetch(b, hscsim.CollaborativeBenchmarks(), hscsim.ProtocolOptions{}, opts)
 			for i := 0; i < b.N; i++ {
 				var sumRed float64
-				for _, bench := range hscsim.CollaborativeBenchmarks() {
-					base := evalRun(b, bench, hscsim.ProtocolOptions{})
-					opt := evalRun(b, bench, opts)
+				for _, r := range evalRuns(b, hscsim.CollaborativeBenchmarks(), hscsim.ProtocolOptions{}, opts) {
+					base, opt := r[0], r[1]
 					sumRed += 100 * (float64(base.ProbesSent) - float64(opt.ProbesSent)) / float64(base.ProbesSent)
 				}
 				b.ReportMetric(sumRed/float64(len(hscsim.CollaborativeBenchmarks())), "%probe-reduction-avg")
@@ -188,7 +183,7 @@ func BenchmarkTable3Ablations(b *testing.B) {
 		opts := opts
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := evalRun(b, "tq", opts)
+				res := evalRuns(b, []string{"tq"}, opts)[0][0]
 				b.ReportMetric(float64(res.Cycles), "sim-cycles")
 				b.ReportMetric(float64(res.ProbesSent), "probes")
 			}
@@ -215,15 +210,8 @@ func BenchmarkEngineColdVsWarm(b *testing.B) {
 	ctx := context.Background()
 	runAll := func(b *testing.B, e *hscsim.JobEngine) {
 		b.Helper()
-		for _, sp := range specs {
-			if _, err := e.Submit(sp); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, sp := range specs {
-			if _, err := e.Run(ctx, sp); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := e.RunAll(ctx, specs); err != nil {
+			b.Fatal(err)
 		}
 	}
 

@@ -1,24 +1,57 @@
 // Command hscfig regenerates the paper's evaluation tables and figures
-// (Tables II/III, Figs. 4–7) by sweeping the CHAI workloads over the
-// protocol variants. With no flags it regenerates everything.
+// (Tables I–III, Figs. 4–7, the energy estimate, the §V HeteroSync and
+// extended-CHAI comparisons and the §III-B1/§IV-B/§VII/§IX ablations)
+// by sweeping the workloads over the protocol variants. With no flags
+// it regenerates everything.
+//
+// Every requested simulation section is a list of engine.Spec cells;
+// the whole list runs as one batch on the job engine (internal/engine),
+// so cells execute in parallel on the worker pool (-j), cells shared
+// between sections are simulated once, and with -cache every cell is
+// memoized across invocations.
 //
 // Usage:
 //
-//	hscfig [-fig4] [-fig5] [-fig6] [-fig7] [-table2] [-table3] [-ablations]
+//	hscfig [-fig4] [-fig5] [-fig6] [-fig7] [-table1] [-table2] [-table3] [-energy]
+//	       [-heterosync] [-extended] [-ablations] [-csv file] [-cache dir] [-j N]
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hscsim/internal/chai"
 	"hscsim/internal/core"
 	"hscsim/internal/engine"
 	"hscsim/internal/figures"
+	"hscsim/internal/heterosync"
 	"hscsim/internal/system"
 )
+
+// A section is one part of the output: the engine cells it needs and
+// how to render their results, which arrive in the cells' order.
+type section struct {
+	cells  []engine.Spec
+	render func(out io.Writer, res []system.Results)
+}
+
+// evalCells lists the evaluation cells bench-major — every variant of
+// the first bench, then the next — on one topology, the order
+// figures.NewSweep expects.
+func evalCells(benches []string, variants []core.Options, topo engine.TopologySpec) []engine.Spec {
+	var cells []engine.Spec
+	for _, b := range benches {
+		for _, v := range variants {
+			sp := engine.EvalSpec(b, v)
+			sp.Topology = topo
+			cells = append(cells, sp)
+		}
+	}
+	return cells
+}
 
 func main() {
 	fig4 := flag.Bool("fig4", false, "regenerate Fig. 4 (optimization speedups)")
@@ -38,30 +71,8 @@ func main() {
 	flag.Parse()
 
 	all := !(*fig4 || *fig5 || *fig6 || *fig7 || *table1 || *table2 || *table3 || *ablations || *energyFig || *hsFlag || *extFlag)
+
 	out := os.Stdout
-
-	// The figure sweeps run through the job engine: cells execute in
-	// parallel on the worker pool, and with -cache every cell is
-	// memoized across invocations.
-	cache, err := engine.NewCache(0, *cacheDir)
-	check(err)
-	eng := engine.New(engine.Config{Workers: *jobs, Cache: cache})
-	defer eng.Close()
-	runSweep := func(benches []string, variants []core.Options) (*figures.Sweep, error) {
-		// Pre-submit every cell so the pool works on them concurrently;
-		// the sequential waits below then dedup against the live jobs.
-		for _, b := range benches {
-			for _, v := range variants {
-				if _, err := eng.Submit(engine.EvalSpec(b, v)); err != nil {
-					break // queue full: the Runner below resubmits
-				}
-			}
-		}
-		return figures.RunSweepVia(func(bench string, opts core.Options) (system.Results, error) {
-			return eng.RunResults(context.Background(), engine.EvalSpec(bench, opts))
-		}, benches, variants)
-	}
-
 	if all || *table1 {
 		core.WriteTableI(out)
 	}
@@ -72,9 +83,11 @@ func main() {
 		figures.WriteTable3(out)
 	}
 
+	var sections []section
 	if all || *fig4 || *fig5 {
 		// Figs. 4 and 5 share the baseline/noWBcleanVic/llcWB runs; run
 		// the union of their variants once.
+		benches := chai.Names()
 		variants := []core.Options{
 			{},
 			{EarlyDirtyResponse: true},
@@ -82,144 +95,189 @@ func main() {
 			{LLCWriteBack: true},
 			{LLCWriteBack: true, UseL3OnWT: true},
 		}
-		sw, err := runSweep(chai.Names(), variants)
-		check(err)
-		if all || *fig4 {
-			figures.WriteFig4(out, sw)
-		}
-		if all || *fig5 {
-			figures.WriteFig5(out, sw)
-		}
-		if *csvPath != "" {
-			f, err := os.Create(*csvPath)
-			check(err)
-			check(figures.WriteCSV(f, sw))
-			check(f.Close())
-			fmt.Fprintf(out, "\nCSV sweep written to %s\n", *csvPath)
-		}
+		sections = append(sections, section{evalCells(benches, variants, engine.TopologySpec{}), func(out io.Writer, res []system.Results) {
+			sw := figures.NewSweep(benches, variants, res)
+			if all || *fig4 {
+				figures.WriteFig4(out, sw)
+			}
+			if all || *fig5 {
+				figures.WriteFig5(out, sw)
+			}
+			if *csvPath != "" {
+				f, err := os.Create(*csvPath)
+				check(err)
+				check(figures.WriteCSV(f, sw))
+				check(f.Close())
+				fmt.Fprintf(out, "\nCSV sweep written to %s\n", *csvPath)
+			}
+		}})
 	}
 
 	if all || *fig6 || *fig7 || *energyFig {
-		sw, err := runSweep(chai.CollaborativeFive(), figures.Fig6Variants())
-		check(err)
-		if all || *fig6 {
-			figures.WriteFig6(out, sw)
-		}
-		if all || *fig7 {
-			figures.WriteFig7(out, sw)
-		}
-		if all || *energyFig {
-			figures.WriteEnergy(out, sw)
-		}
+		benches, variants := chai.CollaborativeFive(), figures.Fig6Variants()
+		sections = append(sections, section{evalCells(benches, variants, engine.TopologySpec{}), func(out io.Writer, res []system.Results) {
+			sw := figures.NewSweep(benches, variants, res)
+			if all || *fig6 {
+				figures.WriteFig6(out, sw)
+			}
+			if all || *fig7 {
+				figures.WriteFig7(out, sw)
+			}
+			if all || *energyFig {
+				figures.WriteEnergy(out, sw)
+			}
+		}})
 	}
 
 	if all || *hsFlag {
-		check(figures.WriteHeteroSync(out))
+		hs, collab, variants := heterosync.Names(), chai.CollaborativeFive(), figures.HeteroSyncVariants()
+		// HeteroSync runs with a write-back TCC (see WriteHeteroSync).
+		cells := evalCells(hs, variants, engine.TopologySpec{GPUWriteBackL2: true})
+		n := len(cells)
+		cells = append(cells, evalCells(collab, variants, engine.TopologySpec{})...)
+		sections = append(sections, section{cells, func(out io.Writer, res []system.Results) {
+			figures.WriteHeteroSync(out, figures.NewSweep(hs, variants, res[:n]), figures.NewSweep(collab, variants, res[n:]))
+		}})
 	}
 
 	if all || *extFlag {
-		check(figures.WriteExtended(out))
+		benches, variants := chai.ExtendedNames(), figures.ExtendedVariants()
+		sections = append(sections, section{evalCells(benches, variants, engine.TopologySpec{}), func(out io.Writer, res []system.Results) {
+			figures.WriteExtended(out, figures.NewSweep(benches, variants, res))
+		}})
 	}
 
 	if all || *ablations {
-		runAblations(out)
+		sections = append(sections, ablationSections()...)
 	}
 
-	if st := eng.Stats(); st.Submitted+st.CacheHits > 0 {
-		fmt.Fprintf(os.Stderr, "hscfig: engine ran %d simulations, %d served from cache\n",
-			st.Done, st.CacheHits)
+	// Run every section's cells as one batch, then render in order.
+	var cells []engine.Spec
+	for _, s := range sections {
+		cells = append(cells, s.cells...)
+	}
+	cache, err := engine.NewCache(0, *cacheDir)
+	check(err)
+	eng := engine.New(engine.Config{Workers: *jobs, Cache: cache})
+	defer eng.Close()
+	raw, err := eng.RunAll(context.Background(), cells)
+	check(err)
+	results := make([]system.Results, len(raw))
+	for i, b := range raw {
+		results[i], err = engine.DecodeResult(b)
+		check(err)
+	}
+	for _, s := range sections {
+		s.render(out, results[:len(s.cells)])
+		results = results[len(s.cells):]
+	}
+
+	if len(cells) > 0 {
+		done := eng.Stats().Done
+		fmt.Fprintf(os.Stderr, "hscfig: %d cells, %d simulated, %d reused\n",
+			len(cells), done, uint64(len(cells))-done)
 	}
 }
 
-// runAblations covers the paper's secondary design points: dropping
+// labelled is an ablation row: a label and its protocol variant.
+type labelled struct {
+	label string
+	opts  core.Options
+}
+
+func optionsOf(cases []labelled) []core.Options {
+	out := make([]core.Options, len(cases))
+	for i, c := range cases {
+		out[i] = c.opts
+	}
+	return out
+}
+
+// ablationSections covers the paper's secondary design points: dropping
 // clean victims from the LLC entirely (§III-B1), the limited-pointer
-// sharer list (§IV-B), and the future-work directory replacement policy
-// and dirty-sharer deallocation rule (§VII).
-func runAblations(out *os.File) {
-	fmt.Fprintf(out, "\nAblations\n=========\n")
-	cases := []struct {
-		label string
-		opts  core.Options
-	}{
+// sharer list (§IV-B), the future-work directory replacement policy and
+// dirty-sharer deallocation rule (§VII), read-only elision (§IX) and
+// the distributed directory (§VII).
+func ablationSections() []section {
+	tracked := core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true}
+	fewest := core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, DirRepl: core.DirReplFewestSharers}
+	keepDirty := core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, KeepDirtySharersOnEvict: true}
+	collab := chai.CollaborativeFive()
+
+	cases := []labelled{
 		{"baseline", core.Options{}},
 		{"noWBcleanVicLLC (III-B1)", core.Options{NoWBCleanVicToMem: true, NoWBCleanVicToLLC: true}},
 		{"sharers, limited-4 ptrs", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, LimitedPointers: 4}},
-		{"sharers, fewest-sharers repl", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, DirRepl: core.DirReplFewestSharers}},
-		{"sharers, keep dirty sharers", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, KeepDirtySharersOnEvict: true}},
+		{"sharers, fewest-sharers repl", fewest},
+		{"sharers, keep dirty sharers", keepDirty},
 	}
-	fmt.Fprintf(out, "%-30s %-8s %12s %10s %10s\n", "variant", "bench", "cycles", "mem", "probes")
-	for _, bench := range chai.CollaborativeFive() {
-		for _, c := range cases {
-			res, err := figures.Run(bench, c.opts)
-			check(err)
+	secondary := section{evalCells(collab, optionsOf(cases), engine.TopologySpec{}), func(out io.Writer, res []system.Results) {
+		fmt.Fprintf(out, "\nAblations\n=========\n")
+		fmt.Fprintf(out, "%-30s %-8s %12s %10s %10s\n", "variant", "bench", "cycles", "mem", "probes")
+		for i, r := range res {
 			fmt.Fprintf(out, "%-30s %-8s %12d %10d %10d\n",
-				c.label, bench, res.Cycles, res.MemAccesses(), res.ProbesSent)
+				cases[i%len(cases)].label, collab[i/len(cases)], r.Cycles, r.MemAccesses(), r.ProbesSent)
 		}
-	}
+	}}
 
 	// Directory-pressure study (§VII future work): with a directory far
 	// smaller than the working set, entry evictions and their backward
 	// invalidations dominate, and the replacement policy matters.
-	fmt.Fprintf(out, "\nDirectory-pressure ablation (512-entry directory)\n")
-	fmt.Fprintf(out, "%-30s %-8s %12s %10s %12s %12s\n",
-		"variant", "bench", "cycles", "probes", "dirEvicts", "backInvals")
-	pressure := []struct {
-		label string
-		opts  core.Options
-	}{
-		{"sharers, tree-PLRU", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true}},
-		{"sharers, fewest-sharers repl", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, DirRepl: core.DirReplFewestSharers}},
-		{"sharers, keep dirty sharers", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, KeepDirtySharersOnEvict: true}},
+	pressure := []labelled{
+		{"sharers, tree-PLRU", tracked},
+		{"sharers, fewest-sharers repl", fewest},
+		{"sharers, keep dirty sharers", keepDirty},
 	}
-	for _, bench := range chai.CollaborativeFive() {
-		for _, c := range pressure {
-			cfg := figures.EvalSystemConfig(c.opts)
-			cfg.Geometry.DirEntries = 512
-			res, err := figures.RunOn(bench, cfg)
-			check(err)
+	dirPressure := section{evalCells(collab, optionsOf(pressure), engine.TopologySpec{DirEntries: 512}), func(out io.Writer, res []system.Results) {
+		fmt.Fprintf(out, "\nDirectory-pressure ablation (512-entry directory)\n")
+		fmt.Fprintf(out, "%-30s %-8s %12s %10s %12s %12s\n",
+			"variant", "bench", "cycles", "probes", "dirEvicts", "backInvals")
+		for i, r := range res {
 			fmt.Fprintf(out, "%-30s %-8s %12d %10d %12d %12d\n",
-				c.label, bench, res.Cycles, res.ProbesSent,
-				res.Stats["dir.entry_evictions"], res.Stats["dir.backward_inval_probes"])
+				pressure[i%len(pressure)].label, collab[i/len(pressure)], r.Cycles, r.ProbesSent,
+				r.Stats["dir.entry_evictions"], r.Stats["dir.backward_inval_probes"])
 		}
-	}
+	}}
 
 	// Read-only elision (§IX future work) on the benchmarks with
 	// read-only inputs.
-	fmt.Fprintf(out, "\nRead-only elision ablation (§IX)\n")
-	fmt.Fprintf(out, "%-8s %-18s %12s %10s %12s\n", "bench", "variant", "cycles", "probes", "roElided")
-	for _, bench := range []string{"bs", "sc", "hsti", "hsto", "rscd", "rsct"} {
-		for _, c := range []struct {
-			label string
-			opts  core.Options
-		}{
-			{"baseline", core.Options{}},
-			{"baseline+RO", core.Options{ReadOnlyElision: true}},
-			{"sharers", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true}},
-			{"sharers+RO", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, ReadOnlyElision: true}},
-		} {
-			res, err := figures.Run(bench, c.opts)
-			check(err)
-			fmt.Fprintf(out, "%-8s %-18s %12d %10d %12d\n",
-				bench, c.label, res.Cycles, res.ProbesSent,
-				res.Stats["dir.readonly_elided"])
-		}
+	roBenches := []string{"bs", "sc", "hsti", "hsto", "rscd", "rsct"}
+	ro := []labelled{
+		{"baseline", core.Options{}},
+		{"baseline+RO", core.Options{ReadOnlyElision: true}},
+		{"sharers", tracked},
+		{"sharers+RO", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, ReadOnlyElision: true}},
 	}
+	readOnly := section{evalCells(roBenches, optionsOf(ro), engine.TopologySpec{}), func(out io.Writer, res []system.Results) {
+		fmt.Fprintf(out, "\nRead-only elision ablation (§IX)\n")
+		fmt.Fprintf(out, "%-8s %-18s %12s %10s %12s\n", "bench", "variant", "cycles", "probes", "roElided")
+		for i, r := range res {
+			fmt.Fprintf(out, "%-8s %-18s %12d %10d %12d\n",
+				roBenches[i/len(ro)], ro[i%len(ro)].label, r.Cycles, r.ProbesSent, r.Stats["dir.readonly_elided"])
+		}
+	}}
 
 	// Distributed directory (§VII future work): the tracked protocol
 	// over 1/2/4 address-interleaved banks.
-	fmt.Fprintf(out, "\nDistributed-directory ablation (§VII)\n")
-	fmt.Fprintf(out, "%-8s %6s %12s %10s %10s\n", "bench", "banks", "cycles", "probes", "mem")
-	for _, bench := range chai.CollaborativeFive() {
-		for _, banks := range []int{1, 2, 4} {
-			cfg := figures.EvalSystemConfig(core.Options{
-				Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true})
-			cfg.DirBanks = banks
-			res, err := figures.RunOn(bench, cfg)
-			check(err)
-			fmt.Fprintf(out, "%-8s %6d %12d %10d %10d\n",
-				bench, banks, res.Cycles, res.ProbesSent, res.MemAccesses())
+	banks := []int{1, 2, 4}
+	var bankCells []engine.Spec
+	for _, b := range collab {
+		for _, n := range banks {
+			sp := engine.EvalSpec(b, tracked)
+			sp.Topology.DirBanks = n
+			bankCells = append(bankCells, sp)
 		}
 	}
+	distributed := section{bankCells, func(out io.Writer, res []system.Results) {
+		fmt.Fprintf(out, "\nDistributed-directory ablation (§VII)\n")
+		fmt.Fprintf(out, "%-8s %6s %12s %10s %10s\n", "bench", "banks", "cycles", "probes", "mem")
+		for i, r := range res {
+			fmt.Fprintf(out, "%-8s %6d %12d %10d %10d\n",
+				collab[i/len(banks)], banks[i%len(banks)], r.Cycles, r.ProbesSent, r.MemAccesses())
+		}
+	}}
+
+	return []section{secondary, dirPressure, readOnly, distributed}
 }
 
 func check(err error) {

@@ -75,7 +75,7 @@ func buildSections() []section {
 			case "TCCs":
 				s.points = append(s.points, topo(label, engine.TopologySpec{NumTCCs: v}, 8))
 			case "slots":
-				s.points = append(s.points, topo(label, engine.TopologySpec{StoreBufferSize: v, StoreBufferZero: v == 0}, 8))
+				s.points = append(s.points, topo(label, engine.TopologySpec{StoreBufferSize: v}, 8))
 			}
 		}
 	}
@@ -125,7 +125,7 @@ func main() {
 	if *server != "" {
 		results, summary, err = runRemote(*server, sweep, len(cells))
 	} else {
-		results, summary, err = runLocal(sweep, cells, *cacheDir, *jobs)
+		results, summary, err = runLocal(cells, *cacheDir, *jobs)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hscsweep:", err)
@@ -159,7 +159,7 @@ func main() {
 
 // runLocal executes every cell on an in-process engine (the original
 // single-host mode).
-func runLocal(sweep engine.SweepSpec, cells []engine.Spec, cacheDir string, jobs int) ([][]byte, string, error) {
+func runLocal(cells []engine.Spec, cacheDir string, jobs int) ([][]byte, string, error) {
 	cache, err := engine.NewCache(0, cacheDir)
 	if err != nil {
 		return nil, "", err
@@ -167,20 +167,9 @@ func runLocal(sweep engine.SweepSpec, cells []engine.Spec, cacheDir string, jobs
 	eng := engine.New(engine.Config{Workers: jobs, Cache: cache})
 	defer eng.Close()
 
-	// Submit every point up front so the pool simulates them in
-	// parallel; the waits below collect the deduplicated jobs in order.
-	for _, c := range cells {
-		if _, err := eng.Submit(c); err != nil {
-			break // queue full: the Run below resubmits
-		}
-	}
-	results := make([][]byte, len(cells))
-	for i, c := range cells {
-		b, err := eng.Run(context.Background(), c)
-		if err != nil {
-			return nil, "", err
-		}
-		results[i] = b
+	results, err := eng.RunAll(context.Background(), cells)
+	if err != nil {
+		return nil, "", err
 	}
 	st := eng.Stats()
 	return results, fmt.Sprintf("engine: %d simulated, %d served from cache", st.Done, st.CacheHits), nil

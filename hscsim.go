@@ -256,8 +256,9 @@ func NewFleetNode(e *JobEngine, ring *FleetRing, cache *FleetCache, opts FleetOp
 	return fleet.New(e, ring, cache, opts)
 }
 
-// NamedProtocolVariant resolves the conventional variant names
-// (baseline, ownerTracking, sharersTracking) used across the tools.
+// NamedProtocolVariant resolves the paper's figure-legend variant
+// names (baseline, earlyResp, noWBcleanVic, noWBcleanVicLLC, llcWB,
+// llcWB+useL3OnWT, ownerTracking, sharersTracking).
 func NamedProtocolVariant(name string) (engine.ProtocolSpec, error) {
 	return engine.NamedVariant(name)
 }

@@ -197,19 +197,12 @@ type txn struct {
 	eviction bool // this txn is a directory-entry backward invalidation
 }
 
-// debugLine, when non-zero, dumps every directory event for one line
-// (development aid; set via the HSCSIM_DEBUG_LINE env hook in tests).
-var debugLine cachearray.LineAddr
-
 // Receive implements noc.Handler. Request messages are Held (the
 // directory keeps them as txn.req or in d.pend until complete); acks
 // and unblocks are consumed in place.
 //
 //msgown:owns m
 func (d *Directory) Receive(m *msg.Message) {
-	if debugLine != 0 && m.Addr == debugLine {
-		fmt.Printf("[%d] dir recv %s txn=%d hasData=%v dirty=%v\n", d.engine.Now(), m, m.TxnID, m.HasData, m.Dirty)
-	}
 	switch m.Type {
 	case msg.PrbAck:
 		d.handleAck(m)
@@ -351,9 +344,6 @@ func (d *Directory) sendProbes(t *txn, inv bool, dsts []msg.NodeID) {
 		d.probesSent.Inc()
 		if t.eviction {
 			d.backInvals.Inc()
-		}
-		if debugLine != 0 && t.addr == debugLine {
-			fmt.Printf("[%d] dir probe %s line=%#x txn=%d dst=%d\n", d.engine.Now(), typ, uint64(t.addr), t.id, dst)
 		}
 		pm := d.ic.Alloc()
 		pm.Type, pm.Addr, pm.Src, pm.Dst, pm.TxnID = typ, t.addr, d.id, dst, t.id
@@ -546,9 +536,6 @@ func (d *Directory) complete(t *txn) {
 	t.completed = true
 	if !t.eviction {
 		d.txnLatency.Observe(uint64(d.engine.Now() - t.start))
-	}
-	if debugLine != 0 && t.addr == debugLine {
-		fmt.Printf("[%d] dir complete txn=%d type=%s\n", d.engine.Now(), t.id, t.req.Type)
 	}
 	delete(d.txns, t.addr)
 	d.ic.Release(t.req)

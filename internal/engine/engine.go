@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hscsim/internal/stats"
-	"hscsim/internal/system"
 )
 
 // Typed job-lifecycle errors.
@@ -395,9 +394,9 @@ func (e *Engine) Job(hash string) (*Job, bool) {
 	return j, ok
 }
 
-// Run is Submit plus Wait: the synchronous client call. Library
-// clients (cmd/hscsweep, cmd/hscfig, the benchmark harness) use this —
-// with a warm cache it returns in microseconds.
+// Run is Submit plus Wait: the synchronous client call. With a warm
+// cache it returns in microseconds; batch clients (cmd/hscsweep,
+// cmd/hscfig, the benchmark harness) go through RunAll.
 //
 //lockcheck:blocks
 func (e *Engine) Run(ctx context.Context, sp Spec) ([]byte, error) {
@@ -408,16 +407,29 @@ func (e *Engine) Run(ctx context.Context, sp Spec) ([]byte, error) {
 	return j.Wait(ctx)
 }
 
-// RunResults is Run with the canonical encoding decoded back into
-// system.Results.
+// RunAll runs a batch of specs and returns their results in spec
+// order. Every spec is submitted up front so the pool works on them
+// concurrently; pre-submission stops at the first rejection (a full
+// queue), and the in-order Runs that follow resubmit the rest. A spec
+// repeated within the batch joins its live job or hits the cache, so it
+// executes once. The first failing cell's error is returned.
 //
 //lockcheck:blocks
-func (e *Engine) RunResults(ctx context.Context, sp Spec) (system.Results, error) {
-	b, err := e.Run(ctx, sp)
-	if err != nil {
-		return system.Results{}, err
+func (e *Engine) RunAll(ctx context.Context, specs []Spec) ([][]byte, error) {
+	for _, sp := range specs {
+		if _, err := e.Submit(sp); err != nil {
+			break
+		}
 	}
-	return DecodeResult(b)
+	out := make([][]byte, len(specs))
+	for i, sp := range specs {
+		b, err := e.Run(ctx, sp)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = b
+	}
+	return out, nil
 }
 
 // Drain performs a graceful shutdown: Submit starts failing with

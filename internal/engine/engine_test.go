@@ -474,3 +474,80 @@ func TestFailedJobsAlsoRetired(t *testing.T) {
 		t.Fatalf("failed-job churn grew the index to %d (retain=4)", st.Jobs)
 	}
 }
+
+// errStubCell is what countingExec returns for bench "fail".
+var errStubCell = errors.New("stub: cell failed")
+
+// countingExec is a stub executor that echoes the spec's bench and
+// counts executions per bench; bench "fail" fails with errStubCell.
+type countingExec struct {
+	mu   sync.Mutex
+	runs map[string]int
+}
+
+func (c *countingExec) exec(_ context.Context, sp Spec) ([]byte, error) {
+	c.mu.Lock()
+	c.runs[sp.Bench]++
+	c.mu.Unlock()
+	if sp.Bench == "fail" {
+		return nil, errStubCell
+	}
+	return []byte(sp.Bench), nil
+}
+
+func TestRunAllOrderAndDedup(t *testing.T) {
+	c := &countingExec{runs: map[string]int{}}
+	e := New(Config{Workers: 2, Exec: c.exec})
+	defer e.Close()
+	benches := []string{"a", "b", "a", "c", "b", "a"}
+	specs := make([]Spec, len(benches))
+	for i, b := range benches {
+		specs[i] = Spec{Bench: b}
+	}
+	out, err := e.RunAll(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range benches {
+		if string(out[i]) != b {
+			t.Errorf("result %d = %q, want %q", i, out[i], b)
+		}
+	}
+	for b, n := range c.runs {
+		if n != 1 {
+			t.Errorf("spec %q executed %d times, want 1", b, n)
+		}
+	}
+	if st := e.Stats(); st.Done != 3 {
+		t.Errorf("Done = %d, want 3 distinct cells", st.Done)
+	}
+}
+
+func TestRunAllBeyondQueueDepth(t *testing.T) {
+	c := &countingExec{runs: map[string]int{}}
+	e := New(Config{Workers: 1, QueueDepth: 1, Exec: c.exec})
+	defer e.Close()
+	var specs []Spec
+	for i := 0; i < 20; i++ {
+		specs = append(specs, Spec{Bench: fmt.Sprint("cell", i)})
+	}
+	out, err := e.RunAll(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range specs {
+		if string(out[i]) != sp.Bench {
+			t.Errorf("result %d = %q, want %q", i, out[i], sp.Bench)
+		}
+	}
+}
+
+func TestRunAllReturnsCellError(t *testing.T) {
+	c := &countingExec{runs: map[string]int{}}
+	e := New(Config{Workers: 2, Exec: c.exec})
+	defer e.Close()
+	_, err := e.RunAll(context.Background(), []Spec{{Bench: "a"}, {Bench: "fail"}, {Bench: "b"}})
+	if !errors.Is(err, errStubCell) {
+		t.Fatalf("RunAll error = %v, want the failing cell's", err)
+	}
+}

@@ -121,10 +121,6 @@ type TopologySpec struct {
 	DirEntries      int  `json:"dirEntries,omitempty"`
 	StoreBufferSize int  `json:"storeBufferSize,omitempty"`
 	GPUWriteBackL2  bool `json:"gpuWriteBackL2,omitempty"`
-	// StoreBufferZero distinguishes "StoreBufferSize: 0" (no store
-	// buffer) from "unset" — the one sweep axis whose meaningful value
-	// collides with the zero value.
-	StoreBufferZero bool `json:"storeBufferZero,omitempty"`
 }
 
 // Base system configurations a spec can start from.
@@ -176,9 +172,6 @@ func (s Spec) Normalized() Spec {
 	}
 	if s.Config == "" {
 		s.Config = ConfigEval
-	}
-	if s.Topology.StoreBufferSize != 0 {
-		s.Topology.StoreBufferZero = false
 	}
 	return s
 }
@@ -307,8 +300,6 @@ func buildConfig(s Spec) (system.Config, error) {
 	}
 	if t.StoreBufferSize > 0 {
 		cfg.CPU.StoreBufferSize = t.StoreBufferSize
-	} else if t.StoreBufferZero {
-		cfg.CPU.StoreBufferSize = 0
 	}
 	cfg.GPU.WriteBackL2 = t.GPUWriteBackL2
 	cfg.Oracle = s.Oracle

@@ -5,6 +5,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
+
+	"hscsim/internal/core"
 )
 
 // MaxSweepCells bounds server-side sweep expansion: a single POST
@@ -126,16 +129,30 @@ func (s SweepSpec) ID() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// NamedVariant resolves the conventional protocol-variant names shared
-// by cmd/hscsweep and the fleet API examples.
+// namedVariants are the protocol variants behind the paper's figure
+// legends, the names core.Options.Named produces.
+var namedVariants = []core.Options{
+	{},
+	{EarlyDirtyResponse: true},
+	{NoWBCleanVicToMem: true},
+	{NoWBCleanVicToMem: true, NoWBCleanVicToLLC: true},
+	{LLCWriteBack: true},
+	{LLCWriteBack: true, UseL3OnWT: true},
+	{Tracking: core.TrackOwner, LLCWriteBack: true, UseL3OnWT: true},
+	{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true},
+}
+
+// NamedVariant resolves a figure-legend variant name (baseline,
+// earlyResp, noWBcleanVic, noWBcleanVicLLC, llcWB, llcWB+useL3OnWT,
+// ownerTracking, sharersTracking), the one name table shared by the
+// CLIs and the fleet API examples.
 func NamedVariant(name string) (ProtocolSpec, error) {
-	switch name {
-	case "baseline":
-		return ProtocolSpec{}, nil
-	case "ownerTracking":
-		return ProtocolSpec{Tracking: "owner", LLCWriteBack: true, UseL3OnWT: true}, nil
-	case "sharersTracking":
-		return ProtocolSpec{Tracking: "owner+sharers", LLCWriteBack: true, UseL3OnWT: true}, nil
+	names := make([]string, len(namedVariants))
+	for i, o := range namedVariants {
+		if o.Named() == name {
+			return ProtocolFromOptions(o), nil
+		}
+		names[i] = o.Named()
 	}
-	return ProtocolSpec{}, fmt.Errorf("engine: unknown protocol variant %q (baseline, ownerTracking, sharersTracking)", name)
+	return ProtocolSpec{}, fmt.Errorf("engine: unknown protocol variant %q (%s)", name, strings.Join(names, ", "))
 }

@@ -79,13 +79,30 @@ func TestSweepCellCap(t *testing.T) {
 }
 
 func TestNamedVariant(t *testing.T) {
-	for _, name := range []string{"baseline", "ownerTracking", "sharersTracking"} {
+	names := []string{"baseline", "earlyResp", "noWBcleanVic", "noWBcleanVicLLC",
+		"llcWB", "llcWB+useL3OnWT", "ownerTracking", "sharersTracking"}
+	for _, name := range names {
 		v, err := NamedVariant(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := v.Options(); err != nil {
+		o, err := v.Options()
+		if err != nil {
 			t.Fatalf("%s produced invalid options: %v", name, err)
+		}
+		if got := o.Named(); got != name {
+			t.Errorf("NamedVariant(%q).Options().Named() = %q", name, got)
+		}
+	}
+	// These three specs are fleet and perfbench inputs: their hashes
+	// must not move.
+	for name, want := range map[string]ProtocolSpec{
+		"baseline":        {},
+		"ownerTracking":   {Tracking: "owner", LLCWriteBack: true, UseL3OnWT: true},
+		"sharersTracking": {Tracking: "owner+sharers", LLCWriteBack: true, UseL3OnWT: true},
+	} {
+		if v, _ := NamedVariant(name); v != want {
+			t.Errorf("NamedVariant(%q) = %+v, want %+v", name, v, want)
 		}
 	}
 	if _, err := NamedVariant("psychic"); err == nil {

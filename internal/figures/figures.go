@@ -1,19 +1,20 @@
-// Package figures regenerates every table and figure of the paper's
+// Package figures renders every table and figure of the paper's
 // evaluation (§VI): Fig. 4 (speedup of the §III optimizations), Fig. 5
 // (directory↔memory traffic), Fig. 6 (speedup of state tracking),
-// Fig. 7 (probe reduction), and the configuration Tables II/III.
+// Fig. 7 (probe reduction), and the configuration Tables II/III. It
+// defines the evaluation configuration and the variant lists; it does
+// not simulate. cmd/hscfig runs the cells as engine jobs and hands the
+// results to the renderers here as a Sweep.
 package figures
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"hscsim/internal/chai"
 	"hscsim/internal/core"
 	"hscsim/internal/energy"
-	"hscsim/internal/heterosync"
 	"hscsim/internal/system"
 )
 
@@ -50,33 +51,6 @@ func EvalSystemConfig(opts core.Options) system.Config {
 	return cfg
 }
 
-// Run executes one benchmark under one protocol variant on the
-// evaluation configuration.
-func Run(bench string, opts core.Options) (system.Results, error) {
-	return RunOn(bench, EvalSystemConfig(opts))
-}
-
-// RunOn executes one benchmark — CHAI or HeteroSync — on an arbitrary
-// system configuration (used by the ablations).
-func RunOn(bench string, cfg system.Config) (system.Results, error) {
-	w, err := chai.ByName(bench, EvalParams())
-	if err != nil {
-		w, err = heterosync.ByName(bench, heterosync.Params{Scale: EvalParams().Scale})
-	}
-	if err != nil {
-		return system.Results{}, err
-	}
-	s := system.New(cfg)
-	res, err := s.Run(w)
-	if err != nil {
-		return system.Results{}, err
-	}
-	if cerr := s.CheckCoherence(); cerr != nil {
-		return system.Results{}, fmt.Errorf("%s/%s: %w", bench, cfg.Protocol.Named(), cerr)
-	}
-	return res, nil
-}
-
 // Sweep holds results keyed by benchmark then configuration name.
 type Sweep struct {
 	Benches []string
@@ -84,20 +58,9 @@ type Sweep struct {
 	Results map[string]map[string]system.Results
 }
 
-// Runner executes one sweep cell. RunSweep uses Run, the direct
-// in-process simulator; cmd/hscfig substitutes an engine-backed runner
-// (internal/engine) so repeated sweeps are served from the result cache
-// and independent cells run on the worker pool.
-type Runner func(bench string, opts core.Options) (system.Results, error)
-
-// RunSweep runs every benchmark × protocol variant combination.
-func RunSweep(benches []string, variants []core.Options) (*Sweep, error) {
-	return RunSweepVia(Run, benches, variants)
-}
-
-// RunSweepVia runs every benchmark × protocol variant combination
-// through run.
-func RunSweepVia(run Runner, benches []string, variants []core.Options) (*Sweep, error) {
+// NewSweep assembles a sweep from one result per bench × variant cell,
+// listed bench-major (every variant of the first bench, then the next).
+func NewSweep(benches []string, variants []core.Options, results []system.Results) *Sweep {
 	sw := &Sweep{
 		Benches: benches,
 		Results: make(map[string]map[string]system.Results),
@@ -105,17 +68,13 @@ func RunSweepVia(run Runner, benches []string, variants []core.Options) (*Sweep,
 	for _, v := range variants {
 		sw.Configs = append(sw.Configs, v.Named())
 	}
-	for _, b := range benches {
+	for i, b := range benches {
 		sw.Results[b] = make(map[string]system.Results)
-		for _, v := range variants {
-			res, err := run(b, v)
-			if err != nil {
-				return nil, err
-			}
-			sw.Results[b][v.Named()] = res
+		for j, v := range variants {
+			sw.Results[b][v.Named()] = results[i*len(variants)+j]
 		}
 	}
-	return sw, nil
+	return sw
 }
 
 // Fig4Variants are the §III optimizations evaluated one at a time
@@ -145,6 +104,26 @@ func Fig6Variants() []core.Options {
 	return []core.Options{
 		{},
 		{Tracking: core.TrackOwner, LLCWriteBack: true, UseL3OnWT: true},
+		{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true},
+	}
+}
+
+// ExtendedVariants are the main protocol variants the extended CHAI
+// table compares, baseline first.
+func ExtendedVariants() []core.Options {
+	return []core.Options{
+		{},
+		{LLCWriteBack: true, UseL3OnWT: true},
+		{Tracking: core.TrackOwner, LLCWriteBack: true, UseL3OnWT: true},
+		{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true},
+	}
+}
+
+// HeteroSyncVariants are the two configurations the §V comparison
+// contrasts: the baseline and the full tracked write-back stack.
+func HeteroSyncVariants() []core.Options {
+	return []core.Options{
+		{},
 		{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true},
 	}
 }
@@ -298,86 +277,53 @@ func WriteTable3(w io.Writer) {
 	fmt.Fprintf(w, "Interconnect                 : crossbar, %d cy per hop\n", cfg.NoC.Latency)
 }
 
-// WriteExtended runs the four CHAI benchmarks the paper could not
-// execute under gem5's O3 CPU (§V) across the main protocol variants —
-// results the original evaluation could not obtain.
-func WriteExtended(w io.Writer) error {
+// WriteExtended renders the four CHAI benchmarks the paper could not
+// execute under gem5's O3 CPU (§V) across ExtendedVariants — results
+// the original evaluation could not obtain. Each variant's cycles are
+// compared with the sweep's first (baseline) configuration.
+func WriteExtended(w io.Writer, sw *Sweep) {
 	header(w, "Extended CHAI suite — the 4 benchmarks gem5 could not run (§V)")
-	variants := []core.Options{
-		{},
-		{LLCWriteBack: true, UseL3OnWT: true},
-		{Tracking: core.TrackOwner, LLCWriteBack: true, UseL3OnWT: true},
-		{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true},
-	}
 	fmt.Fprintf(w, "%-6s %-18s %12s %10s %10s\n", "bench", "variant", "cycles", "probes", "mem")
-	for _, b := range chai.ExtendedNames() {
-		var base system.Results
-		for i, v := range variants {
-			res, err := Run(b, v)
-			if err != nil {
-				return err
-			}
-			if i == 0 {
-				base = res
-			}
-			fmt.Fprintf(w, "%-6s %-18s %12d %10d %10d", b, v.Named(), res.Cycles, res.ProbesSent, res.MemAccesses())
+	for _, b := range sw.Benches {
+		base := sw.Results[b][sw.Configs[0]]
+		for i, c := range sw.Configs {
+			res := sw.Results[b][c]
+			fmt.Fprintf(w, "%-6s %-18s %12d %10d %10d", b, c, res.Cycles, res.ProbesSent, res.MemAccesses())
 			if i > 0 {
 				fmt.Fprintf(w, "   (%+.1f%% cycles)", -PercentSaved(base, res))
 			}
 			fmt.Fprintln(w)
 		}
 	}
-	return nil
 }
 
-// WriteHeteroSync reproduces the paper's §V negative result: the
+// WriteHeteroSync renders the paper's §V negative result: the
 // HeteroSync microbenchmarks and Lulesh have "limited collaborative
 // properties", so the enhancements buy far less than on the
-// collaborative CHAI five. It prints the tracked-stack speedup for
-// both suites side by side.
-func WriteHeteroSync(w io.Writer) error {
+// collaborative CHAI five. Both sweeps run HeteroSyncVariants; hs is
+// simulated with a write-back TCC (the gem5 WB_L2 configuration:
+// HeteroSync relies on scoped synchronization, so its device-scope
+// atomics never reach the directory). It prints the tracked-stack
+// speedup for both suites side by side.
+func WriteHeteroSync(w io.Writer, hs, collab *Sweep) {
 	header(w, "HeteroSync / Lulesh — limited collaboration, limited benefit (§V)")
-	opts := core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true}
 	fmt.Fprintf(w, "%-10s %-10s %12s %12s %9s %14s\n",
 		"suite", "bench", "base cycles", "trk cycles", "saved", "probes saved")
-	run := func(suite string, names []string, writeBackTCC bool) (avg float64, err error) {
+	suite := func(name string, sw *Sweep) (avg float64) {
 		var sum float64
-		for _, b := range names {
-			cfgBase := EvalSystemConfig(core.Options{})
-			cfgTrk := EvalSystemConfig(opts)
-			if writeBackTCC {
-				// HeteroSync relies on scoped synchronization: the TCC
-				// runs write-back (the gem5 WB_L2 configuration), so its
-				// device-scope atomics never reach the directory.
-				cfgBase.GPU.WriteBackL2 = true
-				cfgTrk.GPU.WriteBackL2 = true
-			}
-			base, err := RunOn(b, cfgBase)
-			if err != nil {
-				return 0, err
-			}
-			trk, err := RunOn(b, cfgTrk)
-			if err != nil {
-				return 0, err
-			}
+		for _, b := range sw.Benches {
+			base, trk := sw.Results[b][sw.Configs[0]], sw.Results[b][sw.Configs[1]]
 			saved := PercentSaved(base, trk)
 			sum += saved
 			fmt.Fprintf(w, "%-10s %-10s %12d %12d %8.1f%% %13.1f%%\n",
-				suite, b, base.Cycles, trk.Cycles, saved, PercentProbeReduction(base, trk))
+				name, b, base.Cycles, trk.Cycles, saved, PercentProbeReduction(base, trk))
 		}
-		return sum / float64(len(names)), nil
+		return sum / float64(len(sw.Benches))
 	}
-	hsAvg, err := run("heterosync", heterosync.Names(), true)
-	if err != nil {
-		return err
-	}
-	chaiAvg, err := run("chai-5", chai.CollaborativeFive(), false)
-	if err != nil {
-		return err
-	}
+	hsAvg := suite("heterosync", hs)
+	chaiAvg := suite("chai-5", collab)
 	fmt.Fprintf(w, "average saved cycles: heterosync %.1f%% vs collaborative CHAI %.1f%%\n", hsAvg, chaiAvg)
 	fmt.Fprintln(w, "(paper: 'the effects of the enhancements are not prominent due to their limited collaborative properties')")
-	return nil
 }
 
 // WriteEnergy renders the first-order energy estimate the paper's
@@ -416,11 +362,4 @@ func sizeStr(b int) string {
 		return fmt.Sprintf("%d KB", b>>10)
 	}
 	return fmt.Sprintf("%d", b)
-}
-
-// SortedConfigNames returns the sweep's configuration names sorted.
-func (sw *Sweep) SortedConfigNames() []string {
-	out := append([]string(nil), sw.Configs...)
-	sort.Strings(out)
-	return out
 }
