@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -660,7 +661,8 @@ func (d *Directory) LineBusy(addr cachearray.LineAddr) bool {
 
 // LineFingerprint renders the directory's complete per-line state —
 // in-flight transaction flags, queued request types, tracking entry and
-// LLC state — as a canonical string for the model checker's state hash.
+// LLC state — as a human-readable string for counterexample state
+// dumps. AppendLineKey encodes the same fields for the model checker.
 func (d *Directory) LineFingerprint(addr cachearray.LineAddr) string {
 	var b strings.Builder
 	if t := d.txns[addr]; t != nil {
@@ -676,4 +678,50 @@ func (d *Directory) LineFingerprint(addr cachearray.LineAddr) string {
 	fmt.Fprintf(&b, "|%s,%d,%#x", st, owner, sharers)
 	fmt.Fprintf(&b, "|llc%t%t", d.llc.present(addr), d.llc.dirtyLine(addr))
 	return b.String()
+}
+
+// AppendLineKey appends to b a binary encoding of exactly the fields
+// LineFingerprint renders, and returns the extended slice. The model
+// checker uses it as part of its visited-state key, so the encoding is
+// injective: every field has a fixed width, and the one variable-length
+// part (the queued requests) is prefixed by its count.
+func (d *Directory) AppendLineKey(b []byte, addr cachearray.LineAddr) []byte {
+	if t := d.txns[addr]; t != nil {
+		var flags uint16
+		for i, f := range [...]bool{t.responded, t.completed, t.memIssued, t.memDone, t.unblocked,
+			t.needUnblock, t.needData, t.dataFromCache, t.dirtyAck, t.downgrade, t.forceShared, t.eviction} {
+			if f {
+				flags |= 1 << i
+			}
+		}
+		b = append(b, 1, byte(t.req.Type))
+		b = binary.LittleEndian.AppendUint64(b, uint64(t.req.Src))
+		b = binary.LittleEndian.AppendUint64(b, uint64(t.pendingAcks))
+		b = binary.LittleEndian.AppendUint16(b, flags)
+		b = binary.LittleEndian.AppendUint64(b, t.id)
+	} else {
+		b = append(b, 0)
+	}
+	pend := d.pend[addr]
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(pend)))
+	for _, m := range pend {
+		b = append(b, byte(m.Type))
+		b = binary.LittleEndian.AppendUint64(b, uint64(m.Src))
+	}
+	if d.dirArr == nil {
+		b = append(b, 0) // untracked
+	} else if ln := d.dirArr.Peek(addr); ln == nil {
+		b = append(b, 1) // tracked, no entry
+	} else {
+		b = append(b, 2, byte(ln.Meta.State), byte(ln.Meta.Owner))
+		b = binary.LittleEndian.AppendUint64(b, ln.Meta.Sharers)
+	}
+	var llc byte
+	if d.llc.present(addr) {
+		llc |= 1
+	}
+	if d.llc.dirtyLine(addr) {
+		llc |= 2
+	}
+	return append(b, llc)
 }

@@ -7,6 +7,7 @@ import (
 	"hscsim/internal/cachearray"
 	"hscsim/internal/core"
 	"hscsim/internal/msg"
+	"hscsim/internal/stats"
 )
 
 // Ordering selects the network delivery model the checker explores.
@@ -86,32 +87,34 @@ const (
 // Run explores every interleaving of message deliveries, memory
 // completions and agent issue points for the scenario under the given
 // protocol options, checking SWMR, the data-value invariant, directory
-// consistency, and deadlock/livelock freedom. It is a stateless
-// (replay-based) search: each DFS node is reached by re-executing its
-// action path from the initial state, so the simulator itself never
-// needs checkpointing; a fingerprint set prunes revisits.
+// consistency, and deadlock/livelock freedom. It is a stateless search:
+// the simulator is never checkpointed. A node's first child continues
+// on the node's own live harness; every later child is reached by
+// re-executing its action path from the initial state. A fingerprint
+// set prunes revisits.
 func Run(cfg Config) Result {
-	c := &checker{cfg: cfg, visited: make(map[string]struct{})}
+	c := &checker{cfg: cfg, visited: make(map[string]struct{}), reg: stats.NewRegistry()}
 	if c.cfg.MaxStates == 0 {
 		c.cfg.MaxStates = defaultMaxStates
 	}
 	if c.cfg.DrainBudget == 0 {
 		c.cfg.DrainBudget = defaultDrainBudget
 	}
-	c.dfs(nil)
+	c.dfs(nil, nil)
 	return c.result
 }
 
 type checker struct {
 	cfg     Config
 	visited map[string]struct{}
+	reg     *stats.Registry // shared by every harness of the run; see newHarness
 	result  Result
 }
 
 // replay builds a fresh harness and re-executes the action path.
 // Returns nil if a violation fired mid-path (already recorded).
 func (c *checker) replay(path []int) *harness {
-	h := newHarness(c.cfg.Opts, c.cfg.Scenario, c.cfg.Order, c.cfg.Mutate)
+	h := newHarness(c.cfg, c.reg)
 	h.drain(c.cfg.DrainBudget)
 	for _, ai := range path {
 		acts := h.enabled()
@@ -138,7 +141,7 @@ func (c *checker) fail(h *harness, path []int, extra *core.ProtocolViolation) {
 
 // trace re-executes the path once more purely to render each action.
 func (c *checker) trace(path []int) []string {
-	h := newHarness(c.cfg.Opts, c.cfg.Scenario, c.cfg.Order, c.cfg.Mutate)
+	h := newHarness(c.cfg, c.reg)
 	h.drain(c.cfg.DrainBudget)
 	out := make([]string, 0, len(path))
 	for _, ai := range path {
@@ -153,7 +156,12 @@ func (c *checker) trace(path []int) []string {
 	return out
 }
 
-func (c *checker) dfs(path []int) {
+// dfs explores the node reached by path. With a nil parent the node is
+// rebuilt by replay; otherwise parent is the live harness of the node
+// one step up, and the path's last action runs on it in place, so the
+// parent's harness becomes this node's. path is only read, never
+// retained, so callers may reuse its backing array.
+func (c *checker) dfs(path []int, parent *harness) {
 	if c.result.Violation != nil {
 		return
 	}
@@ -161,15 +169,25 @@ func (c *checker) dfs(path []int) {
 		c.result.Truncated = true
 		return
 	}
-	h := c.replay(path)
+	h := parent
 	if h == nil {
-		return
+		if h = c.replay(path); h == nil {
+			return
+		}
+	} else {
+		// Nothing has run on the parent since its enabled() call, so its
+		// action buffer still holds this node's action.
+		h.perform(h.acts[path[len(path)-1]], c.cfg.DrainBudget)
+		if h.violation != nil {
+			c.fail(h, path, nil)
+			return
+		}
 	}
 	fp := h.fingerprint()
-	if _, seen := c.visited[fp]; seen {
+	if _, seen := c.visited[string(fp)]; seen {
 		return
 	}
-	c.visited[fp] = struct{}{}
+	c.visited[string(fp)] = struct{}{}
 	c.result.States++
 
 	acts := h.enabled()
@@ -200,11 +218,12 @@ func (c *checker) dfs(path []int) {
 		c.result.Paths++
 		return
 	}
+	// The first child descends in place and consumes h, overwriting
+	// acts (h's buffer), so only the count is used; later siblings
+	// replay from scratch.
 	for i := range acts {
-		next := make([]int, len(path)+1)
-		copy(next, path)
-		next[len(path)] = i
-		c.dfs(next)
+		c.dfs(append(path, i), h)
+		h = nil
 		if c.result.Violation != nil {
 			return
 		}

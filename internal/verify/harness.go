@@ -1,9 +1,10 @@
 package verify
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"hscsim/internal/cachearray"
 	"hscsim/internal/core"
@@ -65,6 +66,19 @@ func (f *chaosFabric) deliver(i int) {
 	if f.onDeliver != nil {
 		f.onDeliver(f.engine.Now(), m)
 	}
+}
+
+// queuedBehind reports whether an older pending message shares pending
+// message i's (src, dst) link. The pending slice preserves send order
+// and holds only a handful of messages, so a scan beats any index.
+func (f *chaosFabric) queuedBehind(i int) bool {
+	m := f.pending[i]
+	for _, o := range f.pending[:i] {
+		if o.Src == m.Src && o.Dst == m.Dst {
+			return true
+		}
+	}
+	return false
 }
 
 // chaosMem implements core.MemPort with explicit completion: read
@@ -176,6 +190,14 @@ type harness struct {
 	order  Ordering
 
 	violation *core.ProtocolViolation
+
+	// Scratch buffers reused across calls: enabled's action list and
+	// fingerprint's key and sort buffers. Each result is valid only
+	// until the next call of the same method.
+	acts []action
+	key  []byte
+	msgs []*msg.Message
+	mems []uint64
 }
 
 const (
@@ -186,10 +208,14 @@ const (
 	nodeDMA = msg.NodeID(4)
 )
 
-func newHarness(opts core.Options, sc Scenario, order Ordering, mutate func(*msg.Message) *msg.Message) *harness {
+// newHarness builds the checked configuration for cfg. Every harness of
+// one Run shares reg: the controllers' counters accumulate across
+// harnesses, which is harmless because the checker never reads them;
+// creating every counter afresh was about half of construction's cost.
+func newHarness(cfg Config, reg *stats.Registry) *harness {
+	opts, sc := cfg.Opts, cfg.Scenario
 	engine := sim.NewEngine()
-	reg := stats.NewRegistry()
-	fab := &chaosFabric{handlers: make(map[msg.NodeID]noc.Handler), mutate: mutate, engine: engine}
+	fab := &chaosFabric{handlers: make(map[msg.NodeID]noc.Handler), mutate: cfg.Mutate, engine: engine}
 	cmem := &chaosMem{}
 	fm := memdata.New()
 
@@ -199,7 +225,7 @@ func newHarness(opts core.Options, sc Scenario, order Ordering, mutate func(*msg
 		L2SizeBytes: 128, L2Assoc: 1, // 2 sets: lines 0x10/0x12 conflict
 		BlockSize: 64, L1Latency: 1, L2Latency: 1,
 	}
-	h := &harness{engine: engine, fab: fab, mem: cmem, fm: fm, lines: sc.Lines, order: order}
+	h := &harness{engine: engine, fab: fab, mem: cmem, fm: fm, lines: sc.Lines, order: cfg.Order}
 	h.cpus = append(h.cpus,
 		corepair.New(engine, fab, nodeL2A, nodeDir, cpCfg, reg.Scope("l2a")),
 		corepair.New(engine, fab, nodeL2B, nodeDir, cpCfg, reg.Scope("l2b")),
@@ -242,10 +268,10 @@ func newHarness(opts core.Options, sc Scenario, order Ordering, mutate func(*msg
 	fab.onDeliver = h.oracle.OnDeliver
 
 	// The directory reads the recorder from its Options copy; the other
-	// controllers are wired explicitly, as in system.New. The checker's
-	// replay-based search re-fires transitions on every replay, which
-	// inflates counts but leaves the fired set — all coverage needs —
-	// exact.
+	// controllers are wired explicitly, as in system.New. The checker
+	// re-fires a transition whenever it replays a path through it (every
+	// DFS child after the first), which inflates counts but leaves the
+	// fired set — all coverage needs — exact.
 	if r := opts.Recorder; r != nil {
 		for _, cpu := range h.cpus {
 			cpu.SetRecorder(r)
@@ -272,22 +298,15 @@ type action struct {
 // enabled lists the schedulable actions in a deterministic order. Under
 // OrderPerLinkFIFO only the oldest pending message of each (src, dst)
 // link is deliverable — the point-to-point ordering real networks
-// provide; OrderUnordered exposes every pending message.
+// provide; OrderUnordered exposes every pending message. The returned
+// slice is the harness's reused buffer, overwritten by the next call.
 func (h *harness) enabled() []action {
-	var out []action
-	if h.order == OrderPerLinkFIFO {
-		heads := make(map[[2]msg.NodeID]bool, len(h.fab.pending))
-		for i, m := range h.fab.pending {
-			link := [2]msg.NodeID{m.Src, m.Dst}
-			if !heads[link] {
-				heads[link] = true
-				out = append(out, action{'m', i})
-			}
+	out := h.acts[:0]
+	for i := range h.fab.pending {
+		if h.order == OrderPerLinkFIFO && h.fab.queuedBehind(i) {
+			continue
 		}
-	} else {
-		for i := range h.fab.pending {
-			out = append(out, action{'m', i})
-		}
+		out = append(out, action{'m', i})
 	}
 	for i := range h.mem.pending {
 		out = append(out, action{'r', i})
@@ -297,6 +316,7 @@ func (h *harness) enabled() []action {
 			out = append(out, action{'o', i})
 		}
 	}
+	h.acts = out
 	return out
 }
 
@@ -433,60 +453,96 @@ func (h *harness) allDone() bool {
 	return true
 }
 
-// fingerprint renders the complete explorable state: per-line cache,
+// fingerprint encodes the complete explorable state: per-line cache,
 // victim-buffer, MSHR, TCC, directory and LLC state; agent progress;
 // the pending message multiset; pending memory completions; and the
 // engine backlog. Oracle versions are deliberately excluded (they grow
 // monotonically and would defeat revisit pruning); they are an
 // abstraction layered on top of the protocol state, not part of it.
-func (h *harness) fingerprint() string {
-	var b strings.Builder
+//
+// The key is injective: every field is fixed-width and each
+// variable-length list is prefixed by its length. The returned slice is
+// the harness's reused buffer, overwritten by the next call.
+func (h *harness) fingerprint() []byte {
+	b := h.key[:0]
 	for _, line := range h.lines {
 		for _, cp := range h.cpus {
 			wb, wbd := cp.WBState(line)
-			fmt.Fprintf(&b, "%s%t%t%d%d,", cp.L2State(line), wb, wbd, cp.MSHRWaiters(line), cp.WBWaiters(line))
+			b = append(b, byte(cp.L2State(line)), flags(wb, wbd))
+			b = appendInt(b, cp.MSHRWaiters(line))
+			b = appendInt(b, cp.WBWaiters(line))
 		}
 		mw, wt, at := h.gpu.PendingLine(line)
-		fmt.Fprintf(&b, "g%t%t%d%d%d,", h.gpu.TCCHas(line), h.gpu.TCCDirty(line), mw, wt, at)
+		b = append(b, flags(h.gpu.TCCHas(line), h.gpu.TCCDirty(line)))
+		b = appendInt(appendInt(appendInt(b, mw), wt), at)
 		dr, dw := h.dma.Pending(line)
-		fmt.Fprintf(&b, "d%d%d,", dr, dw)
-		b.WriteString(h.dir.LineFingerprint(line))
-		b.WriteByte(';')
+		b = appendInt(appendInt(b, dr), dw)
+		b = h.dir.AppendLineKey(b, line)
 	}
 	for _, ag := range h.agents {
-		fmt.Fprintf(&b, "a%d%t,", ag.next, ag.inflight)
+		b = append(appendInt(b, ag.next), flags(ag.inflight))
 	}
-	msgs := make([]string, len(h.fab.pending))
-	for i, m := range h.fab.pending {
-		msgs[i] = fmt.Sprintf("%d:%x:%d>%d:%d:%t%t%t:%d",
-			m.Type, uint64(m.Addr), m.Src, m.Dst, m.Grant, m.HasData, m.Dirty, m.Retain, m.TxnID)
-	}
+	msgs := append(h.msgs[:0], h.fab.pending...)
 	if h.order == OrderPerLinkFIFO {
 		// Per-link queue order is part of the state (the pending slice
 		// preserves send order); the interleaving between links is not.
 		// Canonical form: per-link sequences, links sorted.
-		seq := make(map[[2]msg.NodeID][]string)
-		for i, m := range h.fab.pending {
-			link := [2]msg.NodeID{m.Src, m.Dst}
-			seq[link] = append(seq[link], msgs[i])
-		}
-		msgs = msgs[:0]
-		for _, q := range seq { //hsclint:deterministic — sorted below
-			msgs = append(msgs, strings.Join(q, ">"))
+		slices.SortStableFunc(msgs, cmpLink)
+	} else {
+		// Unordered delivery: the multiset is the state, order is free.
+		slices.SortFunc(msgs, cmpMsg)
+	}
+	b = appendInt(b, len(msgs))
+	for _, m := range msgs {
+		b = append(b, byte(m.Type))
+		b = binary.LittleEndian.AppendUint64(b, uint64(m.Addr))
+		b = appendInt(appendInt(b, int(m.Src)), int(m.Dst))
+		b = append(b, byte(m.Grant), flags(m.HasData, m.Dirty, m.Retain))
+		b = binary.LittleEndian.AppendUint64(b, m.TxnID)
+	}
+	mems := h.mems[:0]
+	for _, p := range h.mem.pending {
+		mems = append(mems, uint64(p.addr))
+	}
+	slices.Sort(mems)
+	b = appendInt(b, len(mems))
+	for _, a := range mems {
+		b = binary.LittleEndian.AppendUint64(b, a)
+	}
+	b = appendInt(b, h.engine.Pending())
+	h.key, h.msgs, h.mems = b, msgs, mems
+	return b
+}
+
+// cmpLink orders messages by (src, dst) link.
+func cmpLink(a, b *msg.Message) int {
+	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+}
+
+// cmpMsg totally orders messages by every field fingerprint encodes.
+func cmpMsg(a, b *msg.Message) int {
+	return cmp.Or(cmpLink(a, b),
+		cmp.Compare(a.Type, b.Type),
+		cmp.Compare(a.Addr, b.Addr),
+		cmp.Compare(a.Grant, b.Grant),
+		cmp.Compare(flags(a.HasData, a.Dirty, a.Retain), flags(b.HasData, b.Dirty, b.Retain)),
+		cmp.Compare(a.TxnID, b.TxnID))
+}
+
+// appendInt appends v as a fixed-width 8-byte field.
+func appendInt(b []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
+}
+
+// flags packs up to eight booleans into one byte, first argument lowest.
+func flags(fs ...bool) byte {
+	var f byte
+	for i, v := range fs {
+		if v {
+			f |= 1 << i
 		}
 	}
-	// Unordered delivery: the multiset is the state, order is free.
-	sort.Strings(msgs)
-	b.WriteString(strings.Join(msgs, "|"))
-	b.WriteByte(';')
-	mems := make([]string, len(h.mem.pending))
-	for i, p := range h.mem.pending {
-		mems[i] = fmt.Sprintf("%x", uint64(p.addr))
-	}
-	sort.Strings(mems)
-	b.WriteString(strings.Join(mems, "|"))
-	fmt.Fprintf(&b, ";q%d", h.engine.Pending())
-	return b.String()
+	return f
 }
 
 // asViolation converts a recovered panic value into a violation.
