@@ -28,11 +28,37 @@ func dirSteps(sp *stepper, s state, cfg ModelConfig) {
 	}
 }
 
-func dirMach(cfg ModelConfig) string {
-	if cfg.Mode == ModeStateless {
-		return machStateless
+// flushArms are the release-flush arms of dir.stateless and
+// dir.tracked, indexed by whether the mode tracks.
+var flushArms = [2]armID{
+	internArm(machStateless, "-", "Flush", "-"),
+	internArm(machTracked, "-", "Flush", "-"),
+}
+
+// activations are the directory's queued-request kinds served from the
+// saturating counters, in activation order.
+var activations = [4]struct {
+	kind byte
+	desc string
+}{
+	{'W', "directory activates tcc WT"},
+	{'A', "directory activates tcc Atomic"},
+	{'r', "directory activates DMARd"},
+	{'w', "directory activates DMAWr"},
+}
+
+// queueCount returns the saturating counter behind an activation kind.
+func queueCount(s *state, kind byte) *byte {
+	switch kind {
+	case 'W':
+		return &s.TCC.Wt
+	case 'A':
+		return &s.TCC.At
+	case 'r':
+		return &s.DMA.Rd
+	default: // 'w'
+		return &s.DMA.Wr
 	}
-	return machTracked
 }
 
 // dirActivations starts one of the line's outstanding requests. The
@@ -64,36 +90,17 @@ func dirActivations(sp *stepper, s state, cfg ModelConfig) {
 	}
 	// Release flush: touches no line state, so issue, service and the
 	// FlushAck collapse into one atomic (self-loop) step.
-	sp.addArmInject(s, dirMach(cfg), "-", "Flush", "-", "directory acks release flush")
-	sp.addArmInject(s, machTCC, "-", "FlushAck", "-", "tcc completes release flush")
+	sp.addArmInject(s, flushArms[boolIdx(cfg.Mode != ModeStateless)], "directory acks release flush")
+	sp.addArmInject(s, tccArms.flushAck, "tcc completes release flush")
 
-	type queued struct {
-		count *byte
-		kind  byte
-		desc  string
-	}
-	base := s
-	for _, q := range []queued{
-		{&base.TCC.Wt, 'W', "directory activates tcc WT"},
-		{&base.TCC.At, 'A', "directory activates tcc Atomic"},
-		{&base.DMA.Rd, 'r', "directory activates DMARd"},
-		{&base.DMA.Wr, 'w', "directory activates DMAWr"},
-	} {
-		if *q.count != '1' {
+	for _, q := range activations {
+		count := *queueCount(&s, q.kind)
+		if count != '1' {
 			continue
 		}
-		for _, rest := range satDec(*q.count) {
+		for _, rest := range satDec(count) {
 			ns := s
-			switch q.kind {
-			case 'W':
-				ns.TCC.Wt = rest
-			case 'A':
-				ns.TCC.At = rest
-			case 'r':
-				ns.DMA.Rd = rest
-			case 'w':
-				ns.DMA.Wr = rest
-			}
+			*queueCount(&ns, q.kind) = rest
 			ns.Dir.Busy = q.kind
 			// Taking one message from a saturated "at least one" counter
 			// either drains it (progress) or re-asserts that more work is
@@ -131,14 +138,14 @@ func sendPlan(s *state, p probePlan) {
 	for j := 0; j < 2; j++ {
 		if p.cpu[j] {
 			if s.Ag[j].Prb != '-' {
-				panic(fmt.Sprintf("model bug: overlapping probes to cpu%d in %s", j, s))
+				panic(fmt.Sprintf("model bug: overlapping probes to cpu%d in %s", j, *s))
 			}
 			s.Ag[j].Prb = p.kind
 		}
 	}
 	if p.tcc {
 		if s.TCC.Prb != '-' {
-			panic(fmt.Sprintf("model bug: overlapping probes to tcc in %s", s))
+			panic(fmt.Sprintf("model bug: overlapping probes to tcc in %s", *s))
 		}
 		s.TCC.Prb = p.kind
 	}
@@ -203,13 +210,35 @@ func dirProbeRespond(sp *stepper, s state, cfg ModelConfig) {
 	}
 }
 
+// cpuReadArms are the directory arms of a CPU read, indexed by the
+// miss kind (missIdx); the tracked ones are named by entry transition.
+var cpuReadArms = struct {
+	stateless, iToO, iToS, sToO, sToS, oToS, oToO [3]armID
+}{
+	stateless: byMiss(machStateless, "-", "-"),
+	iToO:      byMiss(machTracked, "I", "O"),
+	iToS:      byMiss(machTracked, "I", "S"),
+	sToO:      byMiss(machTracked, "S", "O"),
+	sToS:      byMiss(machTracked, "S", "S"),
+	oToS:      byMiss(machTracked, "O", "S"),
+	oToO:      byMiss(machTracked, "O", "O"),
+}
+
+// byMiss interns one arm per CPU miss event, indexed by missIdx.
+func byMiss(machine, st, nx string) (t [3]armID) {
+	for _, k := range []byte("rsm") {
+		t[missIdx(k)] = internArm(machine, st, missEvent(k), nx)
+	}
+	return t
+}
+
 // dirRespondCPURead responds to the active RdBlk/RdBlkS/RdBlkM and
 // applies the tracked entry update (the concrete t.onData runs at
 // respond time).
 func dirRespondCPURead(sp *stepper, s state, cfg ModelConfig) {
 	req := reqIdx(s, func(a agent) byte { return a.MissP })
 	k := s.Ag[req].Miss
-	ev := missEvent(k)
+	ki := missIdx(k)
 	ns := s
 	ns.Dir.Rspd = true
 
@@ -225,7 +254,7 @@ func dirRespondCPURead(sp *stepper, s state, cfg ModelConfig) {
 			}
 		}
 		ns.Ag[req].MissP = grant
-		sp.addArm(ns, machStateless, "-", ev, "-", cpuDescs[req].grant[grantIdx(grant)])
+		sp.addArm(ns, cpuReadArms.stateless[ki], cpuDescs[req].grant[grantIdx(grant)])
 		return
 	}
 
@@ -240,28 +269,28 @@ func dirRespondCPURead(sp *stepper, s state, cfg ModelConfig) {
 		}
 	}
 	ns.Ag[req].MissP = grant
-	desc := cpuDescs[req].grant[grantIdx(grant)]
+	desc := &cpuDescs[req].grantTracked[grantIdx(grant)]
 
 	switch s.Dir.Entry {
 	case '-':
 		if k == 'm' || k == 'r' {
 			ns.Dir.Entry = 'O'
 			ns.Ag[req].Own = true
-			sp.addArm(ns, machTracked, "I", ev, "O", desc+", tracks owner")
+			sp.addArm(ns, cpuReadArms.iToO[ki], desc[noteTracksOwner])
 		} else {
 			ns.Dir.Entry = 'S'
 			ns.Ag[req].Shr = true
-			sp.addArm(ns, machTracked, "I", "RdBlkS", "S", desc+", adds sharer")
+			sp.addArm(ns, cpuReadArms.iToS[ki], desc[noteAddsSharer])
 		}
 	case 'S':
 		if k == 'm' {
 			clearSharers(&ns)
 			ns.Dir.Entry = 'O'
 			ns.Ag[req].Own = true
-			sp.addArm(ns, machTracked, "S", "RdBlkM", "O", desc+", invalidated sharers, tracks owner")
+			sp.addArm(ns, cpuReadArms.sToO[ki], desc[noteInvSharers])
 		} else {
 			ns.Ag[req].Shr = true
-			sp.addArm(ns, machTracked, "S", ev, "S", desc+", adds sharer")
+			sp.addArm(ns, cpuReadArms.sToS[ki], desc[noteAddsSharer])
 		}
 	case 'O':
 		owner := ownerIdx(s)
@@ -273,31 +302,40 @@ func dirRespondCPURead(sp *stepper, s state, cfg ModelConfig) {
 			clearSharers(&ns)
 			ns.Dir.Entry = 'S'
 			ns.Ag[req].Shr = true
-			sp.addArm(ns, machTracked, "O", ev, "S", desc+" (owner re-read)")
+			sp.addArm(ns, cpuReadArms.oToS[ki], desc[noteOwnerReRead])
 		case k != 'm':
 			if s.Dir.GotM {
 				// Owner downgraded M→O: dirty sharers (footnote h).
 				ns.Ag[req].Shr = true
-				sp.addArm(ns, machTracked, "O", ev, "O", desc+", owner M→O")
+				sp.addArm(ns, cpuReadArms.oToO[ki], desc[noteOwnerMO])
 			} else {
 				// Owner held clean Exclusive; all Shared now.
 				ns.Ag[owner].Own = false
 				ns.Dir.Entry = 'S'
 				ns.Ag[owner].Shr = true
 				ns.Ag[req].Shr = true
-				sp.addArm(ns, machTracked, "O", ev, "S", desc+", owner E→S")
+				sp.addArm(ns, cpuReadArms.oToS[ki], desc[noteOwnerES])
 			}
 		case owner == req:
 			// Upgrade: sharers were invalidated; ownership unchanged.
 			clearSharers(&ns)
-			sp.addArm(ns, machTracked, "O", "RdBlkM", "O", desc+" (owner upgrade)")
+			sp.addArm(ns, cpuReadArms.oToO[ki], desc[noteOwnerUpgrade])
 		default:
 			ns.Ag[owner].Own = false
 			clearSharers(&ns)
 			ns.Ag[req].Own = true
-			sp.addArm(ns, machTracked, "O", "RdBlkM", "O", desc+", transfers ownership")
+			sp.addArm(ns, cpuReadArms.oToO[ki], desc[noteTransfer])
 		}
 	}
+}
+
+// tccReadArms are the directory arms of the TCC's RdBlk.
+var tccReadArms = struct{ stateless, iToS, sToS, oToO, oToS armID }{
+	stateless: internArm(machStateless, "-", "RdBlk", "-"),
+	iToS:      internArm(machTracked, "I", "RdBlk", "S"),
+	sToS:      internArm(machTracked, "S", "RdBlk", "S"),
+	oToO:      internArm(machTracked, "O", "RdBlk", "O"),
+	oToS:      internArm(machTracked, "O", "RdBlk", "S"),
 }
 
 // dirRespondTCCRead responds to the TCC's RdBlk (always Shared; the
@@ -307,30 +345,39 @@ func dirRespondTCCRead(sp *stepper, s state, cfg ModelConfig) {
 	ns.Dir.Rspd = true
 	ns.TCC.MissP = 'r'
 	if cfg.Mode == ModeStateless {
-		sp.addArm(ns, machStateless, "-", "RdBlk", "-", "directory responds to tcc RdBlk")
+		sp.addArm(ns, tccReadArms.stateless, "directory responds to tcc RdBlk")
 		return
 	}
 	switch s.Dir.Entry {
 	case '-':
 		ns.Dir.Entry = 'S'
 		ns.TCC.Shr = true
-		sp.addArm(ns, machTracked, "I", "RdBlk", "S", "directory responds to tcc RdBlk, adds tcc sharer")
+		sp.addArm(ns, tccReadArms.iToS, "directory responds to tcc RdBlk, adds tcc sharer")
 	case 'S':
 		ns.TCC.Shr = true
-		sp.addArm(ns, machTracked, "S", "RdBlk", "S", "directory responds to tcc RdBlk, adds tcc sharer")
+		sp.addArm(ns, tccReadArms.sToS, "directory responds to tcc RdBlk, adds tcc sharer")
 	default: // 'O'
 		if s.Dir.GotM {
 			ns.TCC.Shr = true
-			sp.addArm(ns, machTracked, "O", "RdBlk", "O", "directory responds to tcc RdBlk, owner M→O")
+			sp.addArm(ns, tccReadArms.oToO, "directory responds to tcc RdBlk, owner M→O")
 		} else {
 			owner := ownerIdx(s)
 			ns.Ag[owner].Own = false
 			ns.Dir.Entry = 'S'
 			ns.Ag[owner].Shr = true
 			ns.TCC.Shr = true
-			sp.addArm(ns, machTracked, "O", "RdBlk", "S", "directory responds to tcc RdBlk, owner E→S")
+			sp.addArm(ns, tccReadArms.oToS, "directory responds to tcc RdBlk, owner E→S")
 		}
 	}
+}
+
+// dmaReadArms are the directory arms of a DMARd.
+var dmaReadArms = struct{ stateless, iToI, sToS, oToO, oToS armID }{
+	stateless: internArm(machStateless, "-", "DMARd", "-"),
+	iToI:      internArm(machTracked, "I", "DMARd", "I"),
+	sToS:      internArm(machTracked, "S", "DMARd", "S"),
+	oToO:      internArm(machTracked, "O", "DMARd", "O"),
+	oToS:      internArm(machTracked, "O", "DMARd", "S"),
 }
 
 // dirRespondDMARead responds to a DMARd (data only; tracking changes
@@ -340,29 +387,78 @@ func dirRespondDMARead(sp *stepper, s state, cfg ModelConfig) {
 	ns.Dir.Rspd = true
 	// The Resp to the DMA engine only completes the oldest read — it
 	// interacts with nothing else, so its delivery folds into this step.
-	emit := func(ns state, mach, st, next, desc string) {
-		sp.addArm(ns, mach, st, "DMARd", next, desc)
-		sp.addArm(ns, machDMA, "-", "Resp", "-", "dma completes oldest read on the line")
+	emit := func(ns state, arm armID, desc string) {
+		sp.addArm(ns, arm, desc)
+		sp.addArm(ns, dmaArms.resp, "dma completes oldest read on the line")
 	}
 	if cfg.Mode == ModeStateless {
-		emit(ns, machStateless, "-", "-", "directory responds to DMARd")
+		emit(ns, dmaReadArms.stateless, "directory responds to DMARd")
 		return
 	}
 	switch s.Dir.Entry {
 	case '-':
-		emit(ns, machTracked, "I", "I", "directory responds to DMARd")
+		emit(ns, dmaReadArms.iToI, "directory responds to DMARd")
 	case 'S':
-		emit(ns, machTracked, "S", "S", "directory responds to DMARd")
+		emit(ns, dmaReadArms.sToS, "directory responds to DMARd")
 	default:
 		if s.Dir.GotM {
-			emit(ns, machTracked, "O", "O", "directory responds to DMARd, owner M→O")
+			emit(ns, dmaReadArms.oToO, "directory responds to DMARd, owner M→O")
 		} else {
 			owner := ownerIdx(s)
 			ns.Ag[owner].Own = false
 			ns.Dir.Entry = 'S'
 			ns.Ag[owner].Shr = true
-			emit(ns, machTracked, "O", "S", "directory responds to DMARd, owner E→S")
+			emit(ns, dmaReadArms.oToS, "directory responds to DMARd, owner E→S")
 		}
+	}
+}
+
+// writeService is everything the directory's one-step service of a
+// write kind emits: the commit arm and description per directory
+// outcome, and the folded completion ack to the writer.
+type writeService struct {
+	stateless, noHolders armID
+	retain, dealloc      [256]armID // tracked, by the entry byte
+	descStateless        string
+	descNoHolders        string
+	descRetain           string
+	descDealloc          string
+	ack                  armID
+	ackDesc              string
+}
+
+func mkWriteService(ev string, ack armID, ackDesc string) writeService {
+	return writeService{
+		stateless:     internArm(machStateless, "-", ev, "-"),
+		noHolders:     internArm(machTracked, "I", ev, "I"),
+		retain:        armsBy("OS", func(st string) armID { return internArm(machTracked, st, ev, "S") }),
+		dealloc:       armsBy("OS", func(st string) armID { return internArm(machTracked, st, ev, "I") }),
+		descStateless: "directory commits " + ev + " after invalidations",
+		descNoHolders: "directory commits " + ev + " (no holders)",
+		descRetain:    "directory commits " + ev + ", retains tcc sharer",
+		descDealloc:   "directory commits " + ev + ", deallocates entry",
+		ack:           ack,
+		ackDesc:       ackDesc,
+	}
+}
+
+// writeServices are indexed by writeIdx of the directory's busy kind.
+var writeServices = [3]writeService{
+	mkWriteService("WT", tccArms.wtAck, "tcc retires oldest WT on the line"),
+	mkWriteService("Atomic", tccArms.atomicAck, "tcc delivers old value to waiter"),
+	mkWriteService("DMAWr", dmaArms.wrAck, "dma completes oldest write on the line"),
+}
+
+// writeIdx maps a write kind — W (WT), A (Atomic), w (DMAWr) — onto
+// its writeServices index.
+func writeIdx(kind byte) int {
+	switch kind {
+	case 'W':
+		return 0
+	case 'A':
+		return 1
+	default: // 'w'
+		return 2
 	}
 }
 
@@ -371,48 +467,54 @@ func dirRespondDMARead(sp *stepper, s state, cfg ModelConfig) {
 // respond and complete coincide here: no unblock, memory always ready.)
 func dirServeWrite(sp *stepper, s state, cfg ModelConfig) {
 	kind := s.Dir.Busy
-	var ev string
+	w := &writeServices[writeIdx(kind)]
+	ns := s
+	clearTxn(&ns)
 	// The completion ack to the writer only drains its counter, so its
 	// delivery folds into the commit step; emit carries both arm labels.
-	var ackMach, ackEv, ackDesc string
-	ns := s
-	switch kind {
-	case 'W':
-		ev = "WT"
-		ackMach, ackEv, ackDesc = machTCC, "WBAck", "tcc retires oldest WT on the line"
-	case 'A':
-		ev = "Atomic"
-		ackMach, ackEv, ackDesc = machTCC, "AtomicResp", "tcc delivers old value to waiter"
-	case 'w':
-		ev = "DMAWr"
-		ackMach, ackEv, ackDesc = machDMA, "WBAck", "dma completes oldest write on the line"
-	}
-	clearTxn(&ns)
-	emit := func(ns state, mach, st, next, desc string) {
-		sp.addArm(ns, mach, st, ev, next, desc)
-		sp.addArm(ns, ackMach, "-", ackEv, "-", ackDesc)
+	emit := func(ns state, arm armID, desc string) {
+		sp.addArm(ns, arm, desc)
+		sp.addArm(ns, w.ack, w.ackDesc)
 	}
 
 	if cfg.Mode == ModeStateless {
-		emit(ns, machStateless, "-", "-", "directory commits "+ev+" after invalidations")
+		emit(ns, w.stateless, w.descStateless)
 		return
 	}
-	switch s.Dir.Entry {
+	switch e := s.Dir.Entry; e {
 	case '-':
-		emit(ns, machTracked, "I", "I", "directory commits "+ev+" (no holders)")
+		emit(ns, w.noHolders, w.descNoHolders)
 	default:
-		st := string(s.Dir.Entry)
+		dealloc(&ns)
 		if kind == 'W' {
 			// Write-through TCC keeps its copy: retain it as the sole sharer.
-			dealloc(&ns)
 			ns.Dir.Entry = 'S'
 			ns.TCC.Shr = true
-			emit(ns, machTracked, st, "S", "directory commits WT, retains tcc sharer")
+			emit(ns, w.retain[e], w.descRetain)
 		} else {
-			dealloc(&ns)
-			emit(ns, machTracked, st, "I", "directory commits "+ev+", deallocates entry")
+			emit(ns, w.dealloc[e], w.descDealloc)
 		}
 	}
+}
+
+// vicArms are the directory arms of a victim service, indexed by the
+// victim's dirtiness (boolIdx) and, for the tracked ones that keep the
+// entry state, by the entry byte.
+var vicArms = struct {
+	stateless, stale   [2]armID
+	keep               [2][256]armID
+	ownerToS, ownerToI [2]armID
+	sharerLeft         armID
+}{
+	stateless: [2]armID{internArm(machStateless, "-", "VicClean", "-"), internArm(machStateless, "-", "VicDirty", "-")},
+	stale:     [2]armID{internArm(machTracked, "I", "VicClean", "I"), internArm(machTracked, "I", "VicDirty", "I")},
+	keep: [2][256]armID{
+		armsBy("OS", func(e string) armID { return internArm(machTracked, e, "VicClean", e) }),
+		armsBy("OS", func(e string) armID { return internArm(machTracked, e, "VicDirty", e) }),
+	},
+	ownerToS:   [2]armID{internArm(machTracked, "O", "VicClean", "S"), internArm(machTracked, "O", "VicDirty", "S")},
+	ownerToI:   [2]armID{internArm(machTracked, "O", "VicClean", "I"), internArm(machTracked, "O", "VicDirty", "I")},
+	sharerLeft: internArm(machTracked, "S", "VicClean", "I"),
 }
 
 // dirVicService services the active victim atomically (the concrete
@@ -420,52 +522,49 @@ func dirServeWrite(sp *stepper, s state, cfg ModelConfig) {
 func dirVicService(sp *stepper, s state, cfg ModelConfig) {
 	req := reqIdx(s, func(a agent) byte { return a.WBPh })
 	vicDirty := s.Ag[req].WBDty
-	ev := "VicClean"
-	if vicDirty {
-		ev = "VicDirty"
-	}
+	dty := boolIdx(vicDirty)
 	ns := s
 	ns.Ag[req].WBPh = 'f'
 	clearTxn(&ns)
 
 	if cfg.Mode == ModeStateless {
-		sp.addArm(ns, machStateless, "-", ev, "-", fmt.Sprintf("directory commits cpu%d %s", req, ev))
+		sp.addArm(ns, vicArms.stateless[dty], cpuDescs[req].vicCommit[dty])
 		return
 	}
 
-	desc := fmt.Sprintf("directory services cpu%d %s", req, ev)
+	desc := &cpuDescs[req].vicService[dty]
 	e := s.Dir.Entry
 	switch {
 	case e == '-':
-		sp.addArm(ns, machTracked, "I", ev, "I", desc+" (stale victim)")
+		sp.addArm(ns, vicArms.stale[dty], desc[noteStaleVictim])
 	case vicDirty && e == 'O' && s.Ag[req].Own:
 		if anySharer(s) {
 			ns.Ag[req].Own = false
 			ns.Dir.Entry = 'S'
-			sp.addArm(ns, machTracked, "O", "VicDirty", "S", desc+", sharers now coherent")
+			sp.addArm(ns, vicArms.ownerToS[dty], desc[noteSharersCoherent])
 		} else {
 			dealloc(&ns)
-			sp.addArm(ns, machTracked, "O", "VicDirty", "I", desc+", deallocates entry")
+			sp.addArm(ns, vicArms.ownerToI[dty], desc[noteDeallocates])
 		}
 	case vicDirty:
 		// Superseded dirty victim from a displaced owner: dropped.
-		sp.addArm(ns, machTracked, string(e), "VicDirty", string(e), desc+" (superseded, dropped)")
+		sp.addArm(ns, vicArms.keep[dty][e], desc[noteSuperseded])
 	case e == 'O' && s.Ag[req].Own:
 		ns.Ag[req].Own = false
 		if !anySharer(s) {
 			dealloc(&ns)
-			sp.addArm(ns, machTracked, "O", "VicClean", "I", desc+", deallocates entry")
+			sp.addArm(ns, vicArms.ownerToI[dty], desc[noteDeallocates])
 		} else {
 			ns.Dir.Entry = 'S'
-			sp.addArm(ns, machTracked, "O", "VicClean", "S", desc+", sharers remain")
+			sp.addArm(ns, vicArms.ownerToS[dty], desc[noteSharersRemain])
 		}
 	default:
 		ns.Ag[req].Shr = false
 		if !anySharer(ns) && e == 'S' {
 			dealloc(&ns)
-			sp.addArm(ns, machTracked, "S", "VicClean", "I", desc+", last sharer left")
+			sp.addArm(ns, vicArms.sharerLeft, desc[noteLastSharer])
 		} else {
-			sp.addArm(ns, machTracked, string(e), "VicClean", string(e), desc+", removes sharer")
+			sp.addArm(ns, vicArms.keep[dty][e], desc[noteRemovesSharer])
 		}
 	}
 }

@@ -131,15 +131,16 @@ func (r *ReachResult) Liveness() (*LiveResult, error) {
 					stable[id] = true
 				}
 				buf = successorsInto(buf, s, ex.cfg)
-				for _, nx := range buf {
-					if nx.kind != kindProgress {
+				for i := range buf {
+					nx := &buf[i]
+					if nx.kind != kindProgress || nx.s == s {
 						continue
 					}
-					nk := pack(ex.canonize(nx.s))
+					nk := ex.key(&nx.s)
 					if nk == key {
 						continue // a stalled retry makes no progress
 					}
-					to, ok := ex.ids[nk]
+					to, ok := ex.ids.get(nk)
 					if !ok {
 						panic(fmt.Sprintf("model bug: successor of explored state %s not in visited set", s))
 					}
@@ -256,8 +257,7 @@ func (ex *explorer) cycleWithin(start int32, canDrain []bool) []TraceStep {
 		cur := nodes[qi]
 		s := unpack(ex.keys[cur.id])
 		for i, nx := range successors(s, ex.cfg) {
-			nk := pack(ex.canonize(nx.s))
-			to, ok := ex.ids[nk]
+			to, ok := ex.ids.get(ex.key(&nx.s))
 			if !ok || canDrain[to] {
 				continue
 			}
@@ -287,11 +287,7 @@ func (ex *explorer) cycleWithin(start int32, canDrain []bool) []TraceStep {
 func (ex *explorer) stepFor(from int32, ord uint16) TraceStep {
 	succs := successors(unpack(ex.keys[from]), ex.cfg)
 	nx := succs[ord]
-	arm := ""
-	if nx.arm.Machine != "" {
-		arm = nx.arm.String()
-	}
-	return TraceStep{Desc: nx.desc, Arm: arm, State: ex.canonize(nx.s).String()}
+	return TraceStep{Desc: nx.desc, Arm: nx.arm.String(), State: ex.canonize(nx.s).String()}
 }
 
 // pendingWork lists the in-flight work of a transient state — the

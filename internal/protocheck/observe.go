@@ -1,9 +1,8 @@
 package protocheck
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hscsim/internal/cachearray"
 	"hscsim/internal/msg"
@@ -151,9 +150,7 @@ func (o *Observer) Contained(r *ReachResult) []Finding {
 	for k := range o.observed { //hsclint:deterministic — sorted below
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		return bytes.Compare(keys[i][:], keys[j][:]) < 0
-	})
+	slices.Sort(keys)
 	for _, k := range keys {
 		if _, ok := r.Stable[k]; !ok {
 			findings = append(findings, Finding{

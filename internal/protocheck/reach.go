@@ -22,15 +22,18 @@ import (
 //
 // Parallel structure: the BFS is level-synchronized. Each level, the
 // frontier is split into chunks and a worker pool expands them
-// concurrently — the visited map is read-only during expansion, so
+// concurrently — the visited table is read-only during expansion, so
 // workers dedup against it without locks and emit candidate discoveries
 // per chunk. A single merge step then inserts candidates in chunk
 // order, which keeps state ids, parent links and violation selection
 // bit-for-bit deterministic regardless of worker scheduling. States are
-// keyed by fixed-size packed arrays (canon.go) rather than strings, and
-// the two symmetric L2 agents are canonicalized before hashing, which
-// roughly halves the visited set (CrossCheckSymmetry proves the
-// reduction exact).
+// keyed by one packed uint64 (canon.go) in an open-addressed visited
+// table, and the two symmetric L2 agents are canonicalized before
+// hashing, which roughly halves the visited set (CrossCheckSymmetry
+// proves the reduction exact). The hot loop is integer work: successors
+// carry interned arm ids that each chunk collects in a bitset, exact
+// self-loops are dropped before any packing, and successor generation
+// allocates nothing.
 //
 // The exploration retains its parent links and key table, so the
 // liveness prover (live.go) can walk the same graph without re-running
@@ -150,7 +153,7 @@ type ReachResult struct {
 }
 
 // explorer holds the exploration graph: packed state keys indexed by
-// discovery order, the visited map, and per-state parent links. A
+// discovery order, the visited table, and per-state parent links. A
 // state's trace is reconstructed by re-running successors() along the
 // parent chain and indexing with the stored successor ordinal, so no
 // per-state description strings are retained.
@@ -158,10 +161,10 @@ type explorer struct {
 	cfg     ModelConfig
 	sym     bool
 	workers int
-	keys    []skey         // id → packed state
-	ids     map[skey]int32 // packed state → id
-	parent  []int32        // id → predecessor id (-1 for the initial state)
-	ord     []uint16       // id → successor ordinal within successors(parent)
+	keys    []skey   // id → packed state
+	ids     *visited // packed state → id
+	parent  []int32  // id → predecessor id (-1 for the initial state)
+	ord     []uint16 // id → successor ordinal within successors(parent)
 }
 
 // canonize applies the symmetry reduction when it is enabled.
@@ -172,6 +175,14 @@ func (ex *explorer) canonize(s state) state {
 	return s
 }
 
+// key packs a state as the explorer stores it: pack(ex.canonize(s)).
+func (ex *explorer) key(s *state) skey {
+	if ex.sym {
+		return packCanon(s)
+	}
+	return pack(*s)
+}
+
 // trace rebuilds the shortest path from the initial state to id.
 func (ex *explorer) trace(id int32) []TraceStep {
 	var rev []TraceStep
@@ -179,11 +190,7 @@ func (ex *explorer) trace(id int32) []TraceStep {
 		p := ex.parent[id]
 		succs := successors(unpack(ex.keys[p]), ex.cfg)
 		nx := succs[ex.ord[id]]
-		arm := ""
-		if nx.arm.Machine != "" {
-			arm = nx.arm.String()
-		}
-		rev = append(rev, TraceStep{Desc: nx.desc, Arm: arm, State: unpack(ex.keys[id]).String()})
+		rev = append(rev, TraceStep{Desc: nx.desc, Arm: nx.arm.String(), State: unpack(ex.keys[id]).String()})
 		id = p
 	}
 	out := make([]TraceStep, 0, len(rev))
@@ -206,7 +213,7 @@ type cand struct {
 // chunkOut is one worker chunk's result.
 type chunkOut struct {
 	cands []cand
-	arms  map[armRef]bool
+	arms  armSet   // arms animated by the chunk's successors
 	viol  int32    // frontier position of the first violating state, -1 if none
 	probs []string // its violations
 }
@@ -220,26 +227,27 @@ func Explore(cfg ModelConfig, opts ExploreOpts) (*ReachResult, error) {
 
 	ex := &explorer{
 		cfg: cfg, sym: !opts.NoSym, workers: workers,
-		ids: make(map[skey]int32, 1<<16),
+		ids: newVisited(1 << 16),
 	}
 	res := &ReachResult{
-		Config:   cfg,
-		ArmsUsed: make(map[armRef]bool),
-		Stable:   make(map[skey]string),
-		exp:      ex,
+		Config: cfg,
+		Stable: make(map[skey]string),
+		exp:    ex,
 	}
+	var arms armSet // every chunk's arms, materialized once into ArmsUsed
 
 	s0 := ex.canonize(initial())
 	k0 := pack(s0)
-	ex.ids[k0] = 0
+	ex.ids.add(k0, 0)
 	ex.keys = append(ex.keys, k0)
 	ex.parent = append(ex.parent, -1)
 	ex.ord = append(ex.ord, 0)
 	res.Stable[k0] = s0.String()
 
 	frontier := []int32{0}
+	var outs []chunkOut
 	for depth := 0; len(frontier) > 0; depth++ {
-		outs := ex.expandLevel(frontier)
+		outs = ex.expandLevel(frontier, outs)
 
 		// Violation selection is deterministic: the first violating
 		// state in frontier order wins, regardless of which worker
@@ -247,9 +255,7 @@ func Explore(cfg ModelConfig, opts ExploreOpts) (*ReachResult, error) {
 		var viol *chunkOut
 		for i := range outs {
 			o := &outs[i]
-			for ref := range o.arms { //hsclint:deterministic — accumulated into a set
-				res.ArmsUsed[ref] = true
-			}
+			arms.union(&o.arms)
 			if o.viol >= 0 && viol == nil {
 				viol = o
 			}
@@ -264,6 +270,7 @@ func Explore(cfg ModelConfig, opts ExploreOpts) (*ReachResult, error) {
 			}
 			res.States = len(ex.keys)
 			res.Depth = depth
+			res.ArmsUsed = arms.refs()
 			res.Elapsed = time.Since(start)
 			return res, nil
 		}
@@ -272,19 +279,20 @@ func Explore(cfg ModelConfig, opts ExploreOpts) (*ReachResult, error) {
 		var next []int32
 		for i := range outs {
 			for _, c := range outs[i].cands {
-				if _, ok := ex.ids[c.key]; ok {
+				id := int32(len(ex.keys))
+				if !ex.ids.add(c.key, id) {
 					continue
 				}
-				if len(ex.keys) >= limit {
+				if int(id) >= limit {
 					return nil, fmt.Errorf("state budget exceeded (%d states) exploring %s", limit, cfg)
 				}
-				id := int32(len(ex.keys))
-				ex.ids[c.key] = id
 				ex.keys = append(ex.keys, c.key)
 				ex.parent = append(ex.parent, frontier[c.pos])
 				ex.ord = append(ex.ord, c.ord)
 				next = append(next, id)
-				if s := unpack(c.key); s.stable() {
+				s := unpack(c.key)
+				s.assertStructure()
+				if s.stable() {
 					res.Stable[c.key] = s.String()
 				}
 			}
@@ -300,21 +308,27 @@ func Explore(cfg ModelConfig, opts ExploreOpts) (*ReachResult, error) {
 		}
 	}
 	res.States = len(ex.keys)
+	res.ArmsUsed = arms.refs()
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
 // expandLevel splits the frontier into chunks and expands them on the
-// worker pool. The visited map is read-only for the whole level, so
+// worker pool. The visited table is read-only for the whole level, so
 // workers need no locks; each chunk's discoveries and violations come
-// back in emission order.
-func (ex *explorer) expandLevel(frontier []int32) []chunkOut {
+// back in emission order. outs is the previous level's result: its
+// chunk slots are reused, so each slot's candidate buffer is allocated
+// once and only grows.
+func (ex *explorer) expandLevel(frontier []int32, outs []chunkOut) []chunkOut {
 	chunkSize := len(frontier)/(ex.workers*4) + 1
 	if chunkSize > 4096 {
 		chunkSize = 4096
 	}
 	nchunks := (len(frontier) + chunkSize - 1) / chunkSize
-	outs := make([]chunkOut, nchunks)
+	if nchunks > cap(outs) {
+		outs = append(outs[:cap(outs)], make([]chunkOut, nchunks-cap(outs))...)
+	}
+	outs = outs[:nchunks]
 
 	var cursor int64
 	var wg sync.WaitGroup
@@ -326,6 +340,7 @@ func (ex *explorer) expandLevel(frontier []int32) []chunkOut {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []succ
 			for {
 				i := int(atomic.AddInt64(&cursor, 1)) - 1
 				if i >= nchunks {
@@ -336,7 +351,7 @@ func (ex *explorer) expandLevel(frontier []int32) []chunkOut {
 				if hi > len(frontier) {
 					hi = len(frontier)
 				}
-				outs[i] = ex.expandChunk(frontier, int32(lo), int32(hi))
+				outs[i], buf = ex.expandChunk(frontier, int32(lo), int32(hi), outs[i].cands[:0], buf)
 			}
 		}()
 	}
@@ -345,10 +360,11 @@ func (ex *explorer) expandLevel(frontier []int32) []chunkOut {
 }
 
 // expandChunk processes frontier[lo:hi): checks the safety invariants
-// on each state and emits its undiscovered successors.
-func (ex *explorer) expandChunk(frontier []int32, lo, hi int32) chunkOut {
-	out := chunkOut{viol: -1, arms: make(map[armRef]bool)}
-	var buf []succ
+// on each state and appends its undiscovered successors to cands. buf
+// is the worker's successor buffer, returned for reuse by its next
+// chunk.
+func (ex *explorer) expandChunk(frontier []int32, lo, hi int32, cands []cand, buf []succ) (chunkOut, []succ) {
+	out := chunkOut{cands: cands, viol: -1}
 	for pos := lo; pos < hi; pos++ {
 		id := frontier[pos]
 		key := ex.keys[id]
@@ -356,31 +372,30 @@ func (ex *explorer) expandChunk(frontier []int32, lo, hi int32) chunkOut {
 
 		if probs := s.violations(ex.cfg); len(probs) > 0 {
 			out.viol, out.probs = pos, probs
-			return out
+			return out, buf
 		}
 
 		buf = successorsInto(buf, s, ex.cfg)
-		succs := buf
-		if len(succs) > 1<<16-1 {
+		if len(buf) > 1<<16-1 {
 			panic("model bug: successor ordinal overflows uint16")
 		}
-		for i, nx := range succs {
-			if nx.arm.Machine != "" && !out.arms[nx.arm] {
-				out.arms[nx.arm] = true
-			}
-			ns := ex.canonize(nx.s)
-			nk := pack(ns)
-			if nk == key {
+		for i := range buf {
+			nx := &buf[i]
+			out.arms.add(nx.arm)
+			if nx.s == s {
 				continue // self-loop (hit, stall): recorded for coverage only
 			}
-			if _, ok := ex.ids[nk]; ok {
+			nk := ex.key(&nx.s)
+			if nk == key {
+				continue // a self-loop up to the agent permutation
+			}
+			if _, ok := ex.ids.get(nk); ok {
 				continue
 			}
-			ns.assertStructure()
 			out.cands = append(out.cands, cand{pos: pos, ord: uint16(i), key: nk})
 		}
 	}
-	return out
+	return out, buf
 }
 
 // CheckReach explores every configuration concurrently and reports

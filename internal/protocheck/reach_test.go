@@ -1,6 +1,8 @@
 package protocheck
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"strings"
 	"sync"
 	"testing"
@@ -148,4 +150,70 @@ func assertViolation(t *testing.T, v *Violation, problem string) {
 		}
 	}
 	t.Logf("counterexample:\n%s", v)
+}
+
+// TestExploreCounts pins what every configuration's exploration finds:
+// reachable states, BFS depth, stable states and animated arms. The
+// counts are the equivalence gate for any change to the state encoding,
+// the visited table or the successor relation's bookkeeping.
+func TestExploreCounts(t *testing.T) {
+	want := map[ModelConfig][4]int{
+		{Mode: ModeStateless}:                    {730280, 54, 14, 64},
+		{Mode: ModeStateless, EDR: true}:         {775912, 55, 14, 64},
+		{Mode: ModeTrackOwner, EDR: true}:        {2911352, 42, 24, 88},
+		{Mode: ModeTrackOwnerSharers, EDR: true}: {825688, 36, 24, 87},
+	}
+	for _, cfg := range Configs() {
+		r := exploreCached(t, cfg)
+		got := [4]int{r.States, r.Depth, len(r.Stable), len(r.ArmsUsed)}
+		if got != want[cfg] {
+			t.Errorf("%s: (states, depth, stable, arms) = %v, want %v", cfg, got, want[cfg])
+		}
+	}
+}
+
+// exploreDigest hashes the exploration graph in id order: each state's
+// rendering, parent link and successor ordinal. Equal digests mean the
+// same ids, parents and ordinals, and so byte-identical traces.
+func exploreDigest(r *ReachResult) uint64 {
+	h := fnv.New64a()
+	var b [6]byte
+	for id, k := range r.exp.keys {
+		h.Write([]byte(unpack(k).String()))
+		binary.LittleEndian.PutUint32(b[0:4], uint32(r.exp.parent[id]))
+		binary.LittleEndian.PutUint16(b[4:6], r.exp.ord[id])
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestExploreDigest: the stateless exploration graph is identical at
+// one and two workers, and identical to the graph recorded before the
+// state key became a packed uint64 (the digest below).
+func TestExploreDigest(t *testing.T) {
+	const want = 0x240893462de643d0
+	for _, workers := range []int{1, 2} {
+		r, err := Explore(ModelConfig{Mode: ModeStateless}, ExploreOpts{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := exploreDigest(r); got != want {
+			t.Errorf("workers=%d: exploration digest %#016x, want %#016x", workers, got, want)
+		}
+	}
+}
+
+// BenchmarkExplore times one symmetry-reduced exploration of the
+// stateless configuration on two workers — the protocheck half of the
+// protocol-check workload — reporting states discovered per second.
+func BenchmarkExplore(b *testing.B) {
+	cfg := ModelConfig{Mode: ModeStateless}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := Explore(cfg, ExploreOpts{Workers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(r.States)/r.Elapsed.Seconds(), "states/s")
+	}
 }

@@ -20,11 +20,7 @@ func replayStep(t *testing.T, cfg ModelConfig, s state, step TraceStep) state {
 	distinct := map[skey]bool{}
 	for _, nx := range successors(s, cfg) {
 		ns := nx.s.canon()
-		arm := ""
-		if nx.arm.Machine != "" {
-			arm = nx.arm.String()
-		}
-		if nx.desc == step.Desc && arm == step.Arm && ns.String() == step.State {
+		if nx.desc == step.Desc && nx.arm.String() == step.Arm && ns.String() == step.State {
 			match = ns
 			distinct[pack(ns)] = true
 		}

@@ -32,16 +32,17 @@ const (
 	kindInject
 )
 
-// succ is one abstract transition: the next state, the transition-table
-// arm it animates (zero — empty Machine — for synthetic steps:
+// succ is one abstract transition: the next state, the interned
+// transition-table arm it animates (noArm for synthetic steps:
 // probe-ack collection, activations, back-invalidations, the un-tabled
 // GPU Flush issue), its liveness classification, and a human-readable
-// description for counterexample traces. The arm is held by value: the
-// explorer materializes every successor of every reachable state, and
-// a heap allocation per arm was a measurable share of exploration time.
+// description for counterexample traces. Arms and descriptions are
+// interned: the explorer materializes every successor of every
+// reachable state, so building either per successor would dominate the
+// exploration's time and allocations.
 type succ struct {
 	s    state
-	arm  armRef
+	arm  armID
 	kind edgeKind
 	desc string
 }
@@ -54,9 +55,8 @@ func (sp *stepper) add(next state, desc string) {
 	sp.out = append(sp.out, succ{s: next, desc: desc})
 }
 
-func (sp *stepper) addArm(next state, machine, st, ev, nx, desc string) {
-	ref := armRef{Machine: machine, Key: proto.TKey{State: st, Event: ev, Next: nx}}
-	sp.out = append(sp.out, succ{s: next, arm: ref, desc: desc})
+func (sp *stepper) addArm(next state, arm armID, desc string) {
+	sp.out = append(sp.out, succ{s: next, arm: arm, desc: desc})
 }
 
 // addInject and addArmInject record work-introducing (environment)
@@ -65,9 +65,82 @@ func (sp *stepper) addInject(next state, desc string) {
 	sp.out = append(sp.out, succ{s: next, kind: kindInject, desc: desc})
 }
 
-func (sp *stepper) addArmInject(next state, machine, st, ev, nx, desc string) {
+func (sp *stepper) addArmInject(next state, arm armID, desc string) {
+	sp.out = append(sp.out, succ{s: next, arm: arm, kind: kindInject, desc: desc})
+}
+
+// ---------------------------------------------------------------------
+// Interned arms.
+
+// armID is a small interned index of a transition-table arm. Every arm
+// the model can animate is interned once, while the package's arm
+// tables initialize; successors carry the id, exploration collects ids
+// in an armSet, and only the final ArmsUsed set is materialized as
+// armRefs.
+type armID uint8
+
+// noArm labels synthetic steps.
+const noArm armID = 0
+
+var (
+	armTab   = []armRef{{}} // armID → arm; entry 0 is noArm
+	armIndex = map[armRef]armID{}
+)
+
+// internArm returns the id of an arm, assigning the next free one on
+// first use.
+func internArm(machine, st, ev, nx string) armID {
 	ref := armRef{Machine: machine, Key: proto.TKey{State: st, Event: ev, Next: nx}}
-	sp.out = append(sp.out, succ{s: next, arm: ref, kind: kindInject, desc: desc})
+	if id, ok := armIndex[ref]; ok {
+		return id
+	}
+	if len(armTab) >= 64*len(armSet{}) {
+		panic("protocheck: more interned arms than an armSet holds")
+	}
+	id := armID(len(armTab))
+	armTab = append(armTab, ref)
+	armIndex[ref] = id
+	return id
+}
+
+// armsBy interns one arm per byte of states (a state-dependent arm,
+// indexed by the state byte at step time); f builds it from the byte's
+// one-character string.
+func armsBy(states string, f func(st string) armID) (t [256]armID) {
+	for i := 0; i < len(states); i++ {
+		t[states[i]] = f(states[i : i+1])
+	}
+	return t
+}
+
+// String renders the arm for traces, or "" for synthetic steps.
+func (id armID) String() string {
+	if id == noArm {
+		return ""
+	}
+	return armTab[id].String()
+}
+
+// armSet is a bitset over armIDs.
+type armSet [4]uint64
+
+func (a *armSet) add(id armID) { a[id>>6] |= 1 << (id & 63) }
+
+func (a *armSet) union(b *armSet) {
+	for i := range a {
+		a[i] |= b[i]
+	}
+}
+
+// refs materializes the set (without noArm) as arm references.
+func (a *armSet) refs() map[armRef]bool {
+	out := make(map[armRef]bool)
+	for id := 1; id < len(armTab); id++ {
+		if a[id>>6]&(1<<(id&63)) != 0 {
+			out[armTab[id]] = true
+		}
+	}
+	return out
 }
 
 func dirty(c byte) bool { return c == 'M' || c == 'O' }
@@ -75,11 +148,11 @@ func valid(c byte) bool { return c == 'S' || c == 'E' || c == 'O' || c == 'M' }
 
 // satDec decrements a saturating {0, ≥1} counter: taking one message
 // from "at least one" leaves either none or at least one.
-func satDec(c byte) []byte {
+func satDec(c byte) [2]byte {
 	if c != '1' {
 		panic("model bug: decrementing empty saturating counter")
 	}
-	return []byte{'0', '1'}
+	return [2]byte{'0', '1'}
 }
 
 func drained(s state) bool {
@@ -280,14 +353,78 @@ type cpuDescSet struct {
 	prbNoData, fill, upgFill, collect      string
 	activateMiss                           [3]string // indexed by missIdx
 	activateVictim, consumeUnblock         string
-	grant                                  [3]string // indexed by grantIdx: S, E, M
+	grant                                  [3]string              // indexed by grantIdx: S, E, M
+	grantTracked                           [3][nGrantNotes]string // [grantIdx][note]
+	vicCommit                              [2]string              // indexed by victim dirtiness
+	vicService                             [2][nVicNotes]string   // [dirtiness][note]
+}
+
+// Notes a tracked directory appends to a grant description.
+const (
+	noteTracksOwner = iota
+	noteAddsSharer
+	noteInvSharers
+	noteOwnerReRead
+	noteOwnerMO
+	noteOwnerES
+	noteOwnerUpgrade
+	noteTransfer
+	nGrantNotes
+)
+
+var grantNotes = [nGrantNotes]string{
+	", tracks owner",
+	", adds sharer",
+	", invalidated sharers, tracks owner",
+	" (owner re-read)",
+	", owner M→O",
+	", owner E→S",
+	" (owner upgrade)",
+	", transfers ownership",
+}
+
+// Notes a tracked directory appends to a victim-service description.
+const (
+	noteStaleVictim = iota
+	noteSharersCoherent
+	noteDeallocates
+	noteSuperseded
+	noteSharersRemain
+	noteLastSharer
+	noteRemovesSharer
+	nVicNotes
+)
+
+var vicNotes = [nVicNotes]string{
+	" (stale victim)",
+	", sharers now coherent",
+	", deallocates entry",
+	" (superseded, dropped)",
+	", sharers remain",
+	", last sharer left",
+	", removes sharer",
+}
+
+// vicEvent names the victim event for a victim's dirtiness.
+func vicEvent(dirty bool) string {
+	if dirty {
+		return "VicDirty"
+	}
+	return "VicClean"
+}
+
+func boolIdx(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 var cpuDescs = [2]cpuDescSet{mkCPUDescs(0), mkCPUDescs(1)}
 
 func mkCPUDescs(i int) cpuDescSet {
 	who := fmt.Sprintf("cpu%d", i)
-	return cpuDescSet{
+	d := cpuDescSet{
 		loadHit:    who + " load hit",
 		storeHit:   who + " store hit",
 		silentUp:   who + " silent E→M upgrade",
@@ -319,6 +456,19 @@ func mkCPUDescs(i int) cpuDescSet {
 			"directory grants M to " + who,
 		},
 	}
+	for g, grant := range d.grant {
+		for n, note := range grantNotes {
+			d.grantTracked[g][n] = grant + note
+		}
+	}
+	for dty := range d.vicCommit {
+		ev := vicEvent(dty == 1)
+		d.vicCommit[dty] = "directory commits " + who + " " + ev
+		for n, note := range vicNotes {
+			d.vicService[dty][n] = "directory services " + who + " " + ev + note
+		}
+	}
+	return d
 }
 
 // missIdx maps a miss kind byte onto the activateMiss index.
@@ -348,34 +498,77 @@ func grantIdx(g byte) int {
 // ---------------------------------------------------------------------
 // CPU L2 agents.
 
+// validStates are the L2 cache states holding a copy.
+const validStates = "SEOM"
+
+// prbEvent names the probe event for a probe-kind byte.
+func prbEvent(p byte) string {
+	if p == 'i' {
+		return "PrbInv"
+	}
+	return "PrbDowngrade"
+}
+
+// l2Arms are the cpu.l2 arms, indexed by the cache-state byte (or the
+// probe-kind or grant byte) where the arm depends on it.
+var l2Arms = struct {
+	load, evict, storeUpg, prbInvData, prbDown, upgFill [256]armID // by cache state
+	prbVictim, prbNoData                                [256]armID // by probe kind
+	fill                                                [256]armID // by grant
+	storeHit, silentUp, stallLoad, stallStore           armID
+	missLoad, missStore, retire                         armID
+}{
+	load:       armsBy(validStates, func(st string) armID { return internArm(machL2, st, "Load", st) }),
+	evict:      armsBy(validStates, func(st string) armID { return internArm(machL2, st, "Evict", "WB") }),
+	storeUpg:   armsBy("SO", func(st string) armID { return internArm(machL2, st, "Store", st) }),
+	prbInvData: armsBy(validStates, func(st string) armID { return internArm(machL2, st, "PrbInv", "I") }),
+	prbDown: armsBy(validStates, func(st string) armID {
+		nx := "S"
+		if dirty(st[0]) {
+			nx = "O"
+		}
+		return internArm(machL2, st, "PrbDowngrade", nx)
+	}),
+	upgFill:    armsBy(validStates, func(st string) armID { return internArm(machL2, st, "Fill", "M") }),
+	prbVictim:  armsBy("id", func(p string) armID { return internArm(machL2, "WB", prbEvent(p[0]), "WB") }),
+	prbNoData:  armsBy("id", func(p string) armID { return internArm(machL2, "I", prbEvent(p[0]), "I") }),
+	fill:       armsBy("SEM", func(g string) armID { return internArm(machL2, "I", "Fill", g) }),
+	storeHit:   internArm(machL2, "M", "Store", "M"),
+	silentUp:   internArm(machL2, "E", "Store", "M"),
+	stallLoad:  internArm(machL2, "WB", "Load", "WB"),
+	stallStore: internArm(machL2, "WB", "Store", "WB"),
+	missLoad:   internArm(machL2, "I", "Load", "I"),
+	missStore:  internArm(machL2, "I", "Store", "I"),
+	retire:     internArm(machL2, "WB", "WBAck", "I"),
+}
+
 func cpuSteps(sp *stepper, s state, cfg ModelConfig) {
 	for i := 0; i < 2; i++ {
 		a := s.Ag[i]
-		st := string(a.Cache)
 		d := &cpuDescs[i]
 
 		// Hits (self-loops, recorded for arm coverage).
 		if valid(a.Cache) {
-			sp.addArmInject(s, machL2, st, "Load", st, d.loadHit)
+			sp.addArmInject(s, l2Arms.load[a.Cache], d.loadHit)
 		}
 		switch a.Cache {
 		case 'M':
-			sp.addArmInject(s, machL2, "M", "Store", "M", d.storeHit)
+			sp.addArmInject(s, l2Arms.storeHit, d.storeHit)
 		case 'E':
 			ns := s
 			ns.Ag[i].Cache = 'M'
-			sp.addArmInject(ns, machL2, "E", "Store", "M", d.silentUp)
+			sp.addArmInject(ns, l2Arms.silentUp, d.silentUp)
 		case 'S', 'O':
 			if a.Miss == '-' {
 				ns := s
 				ns.Ag[i].Miss, ns.Ag[i].MissP = 'm', 'o'
-				sp.addArmInject(ns, machL2, st, "Store", st, d.upgIssue)
+				sp.addArmInject(ns, l2Arms.storeUpg[a.Cache], d.upgIssue)
 			}
 		case 'I':
 			if a.WBPh != '-' && cfg.Bug != BugVictimRefetch {
 				// Accesses to a line with a live victim stall until WBAck.
-				sp.addArmInject(s, machL2, "WB", "Load", "WB", d.stallLoad)
-				sp.addArmInject(s, machL2, "WB", "Store", "WB", d.stallStore)
+				sp.addArmInject(s, l2Arms.stallLoad, d.stallLoad)
+				sp.addArmInject(s, l2Arms.stallStore, d.stallStore)
 			} else if a.Miss == '-' {
 				for _, ik := range [2]struct {
 					k    byte
@@ -383,11 +576,11 @@ func cpuSteps(sp *stepper, s state, cfg ModelConfig) {
 				}{{'r', d.issueRd}, {'s', d.issueRdS}} {
 					ns := s
 					ns.Ag[i].Miss, ns.Ag[i].MissP = ik.k, 'o'
-					sp.addArmInject(ns, machL2, "I", "Load", "I", ik.desc)
+					sp.addArmInject(ns, l2Arms.missLoad, ik.desc)
 				}
 				ns := s
 				ns.Ag[i].Miss, ns.Ag[i].MissP = 'm', 'o'
-				sp.addArmInject(ns, machL2, "I", "Store", "I", d.issueRdM)
+				sp.addArmInject(ns, l2Arms.missStore, d.issueRdM)
 			}
 		}
 
@@ -399,7 +592,7 @@ func cpuSteps(sp *stepper, s state, cfg ModelConfig) {
 			ns.Ag[i].Cache = 'I'
 			ns.Ag[i].WBPh = 'o'
 			ns.Ag[i].WBDty = dirty(a.Cache)
-			sp.addArmInject(ns, machL2, st, "Evict", "WB", d.victimize)
+			sp.addArmInject(ns, l2Arms.evict[a.Cache], d.victimize)
 		}
 
 		// WBAck delivery retires the victim buffer. BugDropWake loses
@@ -408,16 +601,11 @@ func cpuSteps(sp *stepper, s state, cfg ModelConfig) {
 		if a.WBPh == 'f' && cfg.Bug != BugDropWake {
 			ns := s
 			ns.Ag[i].WBPh, ns.Ag[i].WBDty = '-', false
-			sp.addArm(ns, machL2, "WB", "WBAck", "I", d.retire)
+			sp.addArm(ns, l2Arms.retire, d.retire)
 		}
 
 		// Probe delivery.
 		if a.Prb == 'i' || a.Prb == 'd' {
-			inv := a.Prb == 'i'
-			ev := "PrbInv"
-			if !inv {
-				ev = "PrbDowngrade"
-			}
 			ns := s
 			switch {
 			case a.WBPh != '-':
@@ -426,26 +614,26 @@ func cpuSteps(sp *stepper, s state, cfg ModelConfig) {
 				if a.WBDty {
 					ns.Ag[i].Prb = 'm'
 				}
-				sp.addArm(ns, machL2, "WB", ev, "WB", d.prbVictim)
+				sp.addArm(ns, l2Arms.prbVictim[a.Prb], d.prbVictim)
 			case a.Cache != 'I':
 				ns.Ag[i].Prb = 'c'
 				if dirty(a.Cache) {
 					ns.Ag[i].Prb = 'm'
 				}
-				if inv {
+				if a.Prb == 'i' {
 					ns.Ag[i].Cache = 'I'
-					sp.addArm(ns, machL2, st, ev, "I", d.prbInvData)
+					sp.addArm(ns, l2Arms.prbInvData[a.Cache], d.prbInvData)
 				} else {
 					nx := byte('S')
 					if dirty(a.Cache) {
 						nx = 'O'
 					}
 					ns.Ag[i].Cache = nx
-					sp.addArm(ns, machL2, st, ev, string(nx), d.prbDown)
+					sp.addArm(ns, l2Arms.prbDown[a.Cache], d.prbDown)
 				}
 			default:
 				ns.Ag[i].Prb = 'n'
-				sp.addArm(ns, machL2, "I", ev, "I", d.prbNoData)
+				sp.addArm(ns, l2Arms.prbNoData[a.Prb], d.prbNoData)
 			}
 		}
 
@@ -456,13 +644,13 @@ func cpuSteps(sp *stepper, s state, cfg ModelConfig) {
 			ns.Ag[i].Unb = true
 			if a.Cache == 'I' {
 				ns.Ag[i].Cache = g
-				sp.addArm(ns, machL2, "I", "Fill", string(g), d.fill)
+				sp.addArm(ns, l2Arms.fill[g], d.fill)
 			} else {
 				if g != 'M' {
 					panic(fmt.Sprintf("model bug: upgrade fill with grant %c in %s", g, s))
 				}
 				ns.Ag[i].Cache = 'M'
-				sp.addArm(ns, machL2, st, "Fill", "M", d.upgFill)
+				sp.addArm(ns, l2Arms.upgFill[a.Cache], d.upgFill)
 			}
 		}
 
@@ -488,47 +676,72 @@ func cpuSteps(sp *stepper, s state, cfg ModelConfig) {
 // ---------------------------------------------------------------------
 // TCC (write-through mode).
 
+// tccArms are the gpu.tcc arms, indexed by the cache-state byte where
+// the arm depends on it.
+var tccArms = struct {
+	wr, atomicDev, atomicSys, fill [256]armID // by cache state
+	rdHit, evict, rdMiss           armID
+	prbInvHit, prbInvMiss, prbDown armID
+	flushAck, wtAck, atomicAck     armID
+}{
+	wr:         armsBy("IV", func(st string) armID { return internArm(machTCC, st, "Wr", "V") }),
+	atomicDev:  armsBy("IV", func(st string) armID { return internArm(machTCC, st, "AtomicDev", "V") }),
+	atomicSys:  armsBy("IV", func(st string) armID { return internArm(machTCC, st, "AtomicSys", "I") }),
+	fill:       armsBy("IV", func(st string) armID { return internArm(machTCC, st, "Fill", "V") }),
+	rdHit:      internArm(machTCC, "V", "Rd", "V"),
+	evict:      internArm(machTCC, "V", "Evict", "I"),
+	rdMiss:     internArm(machTCC, "I", "Rd", "I"),
+	prbInvHit:  internArm(machTCC, "V", "PrbInv", "I"),
+	prbInvMiss: internArm(machTCC, "I", "PrbInv", "I"),
+	prbDown:    internArm(machTCC, "-", "PrbDowngrade", "-"),
+	flushAck:   internArm(machTCC, "-", "FlushAck", "-"),
+	wtAck:      internArm(machTCC, "-", "WBAck", "-"),
+	atomicAck:  internArm(machTCC, "-", "AtomicResp", "-"),
+}
+
 func tccSteps(sp *stepper, s state) {
 	t := s.TCC
-	st := string(t.Cache)
 
 	switch t.Cache {
 	case 'V':
-		sp.addArmInject(s, machTCC, "V", "Rd", "V", "tcc read hit")
+		sp.addArmInject(s, tccArms.rdHit, "tcc read hit")
 		ns := s
 		ns.TCC.Cache = 'I'
-		sp.addArmInject(ns, machTCC, "V", "Evict", "I", "tcc drops clean victim silently")
+		sp.addArmInject(ns, tccArms.evict, "tcc drops clean victim silently")
 	case 'I':
 		if t.MissP == '-' {
 			ns := s
 			ns.TCC.MissP = 'o'
-			sp.addArmInject(ns, machTCC, "I", "Rd", "I", "tcc issues RdBlk")
+			sp.addArmInject(ns, tccArms.rdMiss, "tcc issues RdBlk")
 		}
 	}
 
 	// Writes and device-scope atomics install V and send a WT.
-	for _, wr := range [2]struct{ ev, desc string }{
-		{"Wr", "tcc Wr allocates and sends WT"},
-		{"AtomicDev", "tcc AtomicDev allocates and sends WT"},
+	for _, wr := range [2]struct {
+		arm  armID
+		desc string
+	}{
+		{tccArms.wr[t.Cache], "tcc Wr allocates and sends WT"},
+		{tccArms.atomicDev[t.Cache], "tcc AtomicDev allocates and sends WT"},
 	} {
 		ns := s
 		ns.TCC.Cache = 'V'
 		ns.TCC.Wt = '1'
-		sp.addArmInject(ns, machTCC, st, wr.ev, "V", wr.desc)
+		sp.addArmInject(ns, wr.arm, wr.desc)
 	}
 	// System-scope atomics bypass (dropping any local copy).
 	{
 		ns := s
 		ns.TCC.Cache = 'I'
 		ns.TCC.At = '1'
-		sp.addArmInject(ns, machTCC, st, "AtomicSys", "I", "tcc issues system-scope Atomic")
+		sp.addArmInject(ns, tccArms.atomicSys[t.Cache], "tcc issues system-scope Atomic")
 	}
 
 	// Fill delivery.
 	if t.MissP == 'r' {
 		ns := s
 		ns.TCC.Cache, ns.TCC.MissP = 'V', '-'
-		sp.addArm(ns, machTCC, st, "Fill", "V", "tcc installs fill")
+		sp.addArm(ns, tccArms.fill[t.Cache], "tcc installs fill")
 	}
 
 	// Probe delivery. TCC acks never carry data (write-through: clean).
@@ -537,14 +750,14 @@ func tccSteps(sp *stepper, s state) {
 		ns := s
 		ns.TCC.Cache, ns.TCC.Prb = 'I', 'n'
 		if t.Cache == 'V' {
-			sp.addArm(ns, machTCC, "V", "PrbInv", "I", "tcc drops copy, acks")
+			sp.addArm(ns, tccArms.prbInvHit, "tcc drops copy, acks")
 		} else {
-			sp.addArm(ns, machTCC, "I", "PrbInv", "I", "tcc acks probe without data")
+			sp.addArm(ns, tccArms.prbInvMiss, "tcc acks probe without data")
 		}
 	case 'd':
 		ns := s
 		ns.TCC.Prb = 'n'
-		sp.addArm(ns, machTCC, "-", "PrbDowngrade", "-", "tcc acks downgrade, keeps state")
+		sp.addArm(ns, tccArms.prbDown, "tcc acks downgrade, keeps state")
 	case 'n':
 		if s.Dir.Busy == '-' {
 			panic(fmt.Sprintf("model bug: tcc ack in flight with idle directory in %s", s))
@@ -558,15 +771,23 @@ func tccSteps(sp *stepper, s state) {
 // ---------------------------------------------------------------------
 // DMA engine.
 
+// dmaArms are the dma.engine arms.
+var dmaArms = struct{ rd, wr, resp, wrAck armID }{
+	rd:    internArm(machDMA, "-", "Rd", "-"),
+	wr:    internArm(machDMA, "-", "Wr", "-"),
+	resp:  internArm(machDMA, "-", "Resp", "-"),
+	wrAck: internArm(machDMA, "-", "WBAck", "-"),
+}
+
 func dmaSteps(sp *stepper, s state) {
 	{
 		ns := s
 		ns.DMA.Rd = '1'
-		sp.addArmInject(ns, machDMA, "-", "Rd", "-", "dma issues DMARd")
+		sp.addArmInject(ns, dmaArms.rd, "dma issues DMARd")
 	}
 	{
 		ns := s
 		ns.DMA.Wr = '1'
-		sp.addArmInject(ns, machDMA, "-", "Wr", "-", "dma issues DMAWr")
+		sp.addArmInject(ns, dmaArms.wr, "dma issues DMAWr")
 	}
 }
