@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"hscsim"
-	"hscsim/internal/protocheck"
 )
 
 var (
@@ -246,24 +245,6 @@ func BenchmarkEngineColdVsWarm(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(specs)), "cache-hits/op")
 	})
-}
-
-// BenchmarkReachStatesPerSec measures the protocol prover's
-// exploration throughput: a full frontier-parallel, symmetry-reduced
-// exploration of the stateless configuration (≈0.73M canonical
-// states), reporting distinct states discovered per wall-clock second.
-func BenchmarkReachStatesPerSec(b *testing.B) {
-	cfg := protocheck.ModelConfig{Mode: protocheck.ModeStateless}
-	for i := 0; i < b.N; i++ {
-		r, err := protocheck.Explore(cfg, protocheck.ExploreOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Violation != nil {
-			b.Fatalf("unexpected violation: %v", r.Violation)
-		}
-		b.ReportMetric(float64(r.States)/r.Elapsed.Seconds(), "states/s")
-	}
 }
 
 // BenchmarkSimulatorThroughput is a plain performance benchmark of the

@@ -22,6 +22,7 @@
 //	hscproto -stall               # stall/wake liveness lint (CI, per push)
 //	hscproto -contain             # observed states ⊆ static reachable set (CI, nightly)
 //	hscproto -symcheck            # symmetry reduction exact vs unreduced exploration (CI, nightly)
+//	hscproto -killmatrix          # every seeded bug × every checker, as Markdown (CI, nightly)
 //
 // -diff compares the extracted tables against a baseline file — either
 // a TABLES.md rendering or `hscproto -json` output; "-" reads stdin, so
@@ -62,6 +63,13 @@
 // workload per variant under the containment observer and exits
 // nonzero if any observed quiescent composite state escapes the
 // statically verified reachable set.
+//
+// -killmatrix runs every entry of the seeded-bug registry
+// (conform.Mutants) against every checker that accepts its layer — the
+// verify sweep, the quick CHAI campaign, -contain, -reach and -live —
+// and prints the mutant × checker table committed as KILLMATRIX.md
+// (per-column wall times go to stderr). It exits nonzero when some
+// mutant escapes every checker.
 package main
 
 import (
@@ -107,6 +115,7 @@ func main() {
 	stall := flag.Bool("stall", false, "stall/wake liveness lint; nonzero exit on findings")
 	contain := flag.Bool("contain", false, "dynamic containment: observed states must be statically reachable")
 	symcheck := flag.Bool("symcheck", false, "prove the symmetry reduction exact against an unreduced exploration")
+	killmatrix := flag.Bool("killmatrix", false, "run every seeded bug against every checker and print the kill matrix")
 	flag.Parse()
 
 	tbl, err := proto.Extract(*dir)
@@ -152,6 +161,8 @@ func main() {
 		os.Exit(runContain(protocheck.ExploreOpts{Limit: *limit, Workers: *jobs, NoSym: *nosym}))
 	case *symcheck:
 		os.Exit(runSymCheck(protocheck.ExploreOpts{Limit: *limit, Workers: *jobs, Progress: progressPrinter()}))
+	case *killmatrix:
+		os.Exit(runKillMatrix(*jobs))
 	default:
 		summarize(tbl)
 	}
@@ -415,6 +426,36 @@ func runContain(eopts protocheck.ExploreOpts) int {
 	return 0
 }
 
+// runKillMatrix runs the seeded-bug registry against every checker and
+// prints the matrix; it fails when a mutant escapes every checker.
+func runKillMatrix(workers int) int {
+	start := time.Now()
+	last := start
+	km := conform.RunKillMatrix(workers, func(mutant, checker string, s conform.KillScore) {
+		now := time.Now()
+		fmt.Fprintf(os.Stderr, "  %-22s %-8s %3d/%-3d killed in %v\n",
+			mutant, checker, s.Killed, s.Run, now.Sub(last).Round(time.Millisecond))
+		last = now
+	})
+	fmt.Print(km.Markdown())
+	failed := 0
+	for i, m := range km.Mutants {
+		killed := false
+		for _, s := range km.Scores[i] {
+			killed = killed || s.Killed > 0
+		}
+		if !killed {
+			fmt.Fprintf(os.Stderr, "hscproto: mutant %s escapes every checker\n", m.Name)
+			failed++
+		}
+	}
+	fmt.Fprintf(os.Stderr, "kill matrix: %d mutants in %v\n", len(km.Mutants), time.Since(start).Round(time.Millisecond))
+	if failed > 0 {
+		return 1
+	}
+	return 0
+}
+
 // runCover drives every dynamic harness with transition recording on,
 // then cross-checks the union of fired transitions against the static
 // table.
@@ -429,10 +470,7 @@ func runCover(tbl *proto.Table, quick bool, minPct float64) int {
 	}
 
 	// 1. The differential conformance matrix: the six paper variants ×
-	// directory bankings, plus coverage cells for the orthogonal options
-	// (GPU write-back L2s, read-only elision, dirty-sharer retention).
-	// The extra cells join the differential comparison — they must agree
-	// with the reference image too.
+	// directory bankings, plus coverage cells for the orthogonal options.
 	benches := chai.AllNames()
 	banks := []int{1, 4}
 	if quick {
@@ -443,11 +481,7 @@ func runCover(tbl *proto.Table, quick bool, minPct float64) int {
 	roOpts.ReadOnlyElision = true
 	kdOpts := fullOpts
 	kdOpts.KeepDirtySharersOnEvict = true
-	cells := append(conform.Cells(nil, banks),
-		conform.Cell{Opts: fullOpts, Banks: 1, GPUWB: true},
-		conform.Cell{Opts: roOpts, Banks: 1},
-		conform.Cell{Opts: kdOpts, Banks: 1},
-	)
+	cells := conform.CoverageCells(banks)
 	fmt.Printf("conformance matrix: %d benchmarks x %d cells\n", len(benches), len(cells))
 	_, failures := conform.Campaign(conform.CampaignConfig{
 		Benchmarks: benches,
@@ -520,7 +554,7 @@ func runCover(tbl *proto.Table, quick bool, minPct float64) int {
 				err = runRecorded(w, opts, rec, 16, false)
 			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "FAIL dir-pressure %s under %s: %v\n", bench, opts.Named(), err)
+				fmt.Fprintf(os.Stderr, "FAIL dir-pressure %s under %s: %v\n", bench, conform.Cell{Opts: opts}, err)
 				failed++
 			}
 		}

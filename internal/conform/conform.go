@@ -11,6 +11,10 @@
 // or an image divergence — the delta-debugging minimizer (minimize.go)
 // shrinks the case to a minimal reproducer and converts it into a
 // replayable internal/verify checker scenario.
+//
+// The package also owns the seeded-bug registry (mutate.go), the one
+// list of protocol bugs every negative test plants, and the kill matrix
+// (killmatrix.go) that runs each of them against every checker.
 package conform
 
 import (
@@ -62,8 +66,22 @@ type Cell struct {
 	Mutate noc.Mutator
 }
 
+// String names the cell injectively: the paper's variant name, then
+// every option the cell sets that Options.Named leaves out.
 func (cl Cell) String() string {
 	s := cl.Opts.Named()
+	if cl.Opts.ReadOnlyElision {
+		s += "/readOnlyElision"
+	}
+	if cl.Opts.KeepDirtySharersOnEvict {
+		s += "/keepDirtySharersOnEvict"
+	}
+	if cl.Opts.DirRepl == core.DirReplFewestSharers {
+		s += "/dirRepl=fewestSharers"
+	}
+	if cl.Opts.LimitedPointers > 0 {
+		s += fmt.Sprintf("/limitedPointers=%d", cl.Opts.LimitedPointers)
+	}
 	if cl.Banks > 1 {
 		s = fmt.Sprintf("%s/banks=%d", s, cl.Banks)
 	}
@@ -93,6 +111,24 @@ func Cells(variants []core.Options, banks []int) []Cell {
 	return out
 }
 
+// CoverageCells is the cell list of `hscproto -cover`: the standard
+// matrix over banks plus cells for the orthogonal options the paper
+// variants leave off (write-back GPU L2s, read-only elision, dirty-sharer
+// retention), each on the fully optimized tracking variant. The extra
+// cells join the differential comparison, so they must agree with the
+// reference image too.
+func CoverageCells(banks []int) []Cell {
+	full := core.Options{EarlyDirtyResponse: true, LLCWriteBack: true, Tracking: core.TrackOwnerSharers}
+	ro, kd := full, full
+	ro.ReadOnlyElision = true
+	kd.KeepDirtySharersOnEvict = true
+	return append(Cells(nil, banks),
+		Cell{Opts: full, Banks: 1, GPUWB: true},
+		Cell{Opts: ro, Banks: 1},
+		Cell{Opts: kd, Banks: 1},
+	)
+}
+
 // Outcome is what a run must agree on across cells.
 type Outcome struct {
 	// Image is the final functional-memory image (non-zero words).
@@ -107,7 +143,8 @@ type Outcome struct {
 	Transitions *fsm.Recorder
 }
 
-// runSystem executes one workload on one cell with the oracle on.
+// runSystem executes one workload on one cell with the oracle on. A
+// failed run still reports the cycle it stopped at.
 func runSystem(w system.Workload, cl Cell, maxTicks sim.Tick, record bool) (Outcome, error) {
 	cfg := EvalConfig(cl.Opts)
 	cfg.DirBanks = cl.Banks
@@ -122,11 +159,11 @@ func runSystem(w system.Workload, cl Cell, maxTicks sim.Tick, record bool) (Outc
 	}
 	s := system.New(cfg)
 	res, err := s.Run(w)
-	if err != nil {
-		return Outcome{}, err
+	if err == nil {
+		err = s.CheckCoherence()
 	}
-	if err := s.CheckCoherence(); err != nil {
-		return Outcome{}, err
+	if err != nil {
+		return Outcome{Cycles: uint64(s.Engine.Now())}, err
 	}
 	return Outcome{
 		Image: s.FuncMem.Snapshot(), Cycles: res.Cycles,

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hscsim/internal/cachearray"
-	"hscsim/internal/chai"
 	"hscsim/internal/core"
 	"hscsim/internal/sim"
 	"hscsim/internal/verify"
@@ -31,13 +30,13 @@ func testCells() []Cell { return Cells(testVariants(), []int{1, 4}) }
 // and banked directories, oracle on. cmd/hscconform runs the full
 // 14-benchmark matrix.
 func TestQuickCampaign(t *testing.T) {
-	for _, bench := range []string{"bs", "tq", "hsti"} {
+	for _, bench := range killCampaign.Benchmarks {
 		bench := bench
 		t.Run(bench, func(t *testing.T) {
 			t.Parallel()
 			results, failures := Campaign(CampaignConfig{
 				Benchmarks: []string{bench},
-				Params:     chai.Params{Scale: 1, CPUThreads: 4, Seed: 1},
+				Params:     killCampaign.Params,
 				Variants:   testVariants(),
 				Banks:      []int{1, 4},
 				Log:        t.Logf,
@@ -110,9 +109,10 @@ func TestMinimizeMechanics(t *testing.T) {
 // same mutator.
 func TestSeededBugCaughtAndMinimized(t *testing.T) {
 	baseline := core.Options{}
+	weaken := mutant(t, "weaken-probes").Mutate
 	cells := []Cell{
 		{Opts: baseline},
-		{Opts: baseline, Mutate: WeakenProbes},
+		{Opts: baseline, Mutate: weaken},
 	}
 	fails := func(c Case) bool { return DiffCase(c, cells, caseMaxTicks) != nil }
 
@@ -136,7 +136,7 @@ func TestSeededBugCaughtAndMinimized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := verify.Run(verify.Config{Opts: baseline, Scenario: sc, Mutate: WeakenProbes})
+	res := verify.Run(verify.Config{Opts: baseline, Scenario: sc, Mutate: weaken})
 	if res.Violation == nil {
 		t.Fatalf("minimized scenario replays clean in the model checker (states=%d paths=%d truncated=%v)",
 			res.States, res.Paths, res.Truncated)
@@ -172,5 +172,24 @@ func TestMinimizeJointCrossAgent(t *testing.T) {
 	}
 	if len(min.CPU[0]) != 2 || len(min.CPU[1]) != 2 {
 		t.Fatalf("minimized shape %d+%d, want 2+2:\n%s", len(min.CPU[0]), len(min.CPU[1]), min)
+	}
+}
+
+// TestCoverageCellNamesDistinct: every cell of hscproto -cover's list,
+// and the directory-policy ablations, print distinct names, so a
+// failure report names the cell that failed.
+func TestCoverageCellNamesDistinct(t *testing.T) {
+	full := core.Options{EarlyDirtyResponse: true, LLCWriteBack: true, Tracking: core.TrackOwnerSharers}
+	fewest, ptrs := full, full
+	fewest.DirRepl = core.DirReplFewestSharers
+	ptrs.LimitedPointers = 4
+	cells := append(CoverageCells([]int{1, 4}), Cell{Opts: fewest}, Cell{Opts: ptrs})
+	seen := make(map[string]bool)
+	for _, cl := range cells {
+		name := cl.String()
+		if seen[name] {
+			t.Errorf("two coverage cells are both named %s", name)
+		}
+		seen[name] = true
 	}
 }

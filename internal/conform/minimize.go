@@ -2,25 +2,8 @@ package conform
 
 import (
 	"hscsim/internal/cachearray"
-	"hscsim/internal/msg"
 	"hscsim/internal/verify"
 )
-
-// WeakenProbes is the canonical seeded protocol bug for negative tests:
-// it rewrites every invalidating probe into a downgrading one, so the
-// probed cache keeps a Shared copy the directory believes invalidated.
-// The next conflicting write then violates SWMR, which the runtime
-// oracle (and the model checker, given the same mutator) must catch. It
-// is a pure function of the message, as both fault-injection hooks
-// (system.Config.Mutate and verify.Config.Mutate) require.
-func WeakenProbes(m *msg.Message) *msg.Message {
-	if m.Type == msg.PrbInv {
-		c := *m
-		c.Type = msg.PrbDowngrade
-		return &c
-	}
-	return m
-}
 
 // Minimize shrinks a failing case with greedy delta debugging: drop
 // whole agents, remove chunks of each program (halving granularity down

@@ -1,74 +1,72 @@
 package conform
 
 import (
+	"slices"
 	"testing"
 
 	"hscsim/internal/cachearray"
-	"hscsim/internal/noc"
+	"hscsim/internal/msg"
 	"hscsim/internal/verify"
 )
 
-// Each weakening gets a minimal scenario that provokes it: the model
-// checker explores every interleaving, so a violation on any path
-// convicts the mutator. Every paper variant must catch every mutator —
-// the fault-injection library is only trustworthy if no configuration
-// masks a seeded bug.
-
-func mutatorScenario(name string) verify.Scenario {
-	const a, b = cachearray.LineAddr(0x10), cachearray.LineAddr(0x12) // same L2 set
-	ld := func(l cachearray.LineAddr) verify.AgentOp { return verify.AgentOp{Kind: verify.Load, Line: l} }
-	st := func(l cachearray.LineAddr) verify.AgentOp { return verify.AgentOp{Kind: verify.Store, Line: l} }
-	switch name {
-	case "drop-dirty-ack":
-		// CPU0's store dirties the line; CPU1's load probes the owner,
-		// whose dirty acknowledgment is dropped — the transaction wedges.
-		return verify.Scenario{
-			Name:  "mut-drop-dirty-ack",
-			Lines: []cachearray.LineAddr{a},
-			CPU0:  []verify.AgentOp{st(a)},
-			CPU1:  []verify.AgentOp{ld(a)},
-		}
-	case "reorder-victims":
-		// CPU0 dirties a, conflict-evicts it (the victim never arrives),
-		// then touches a again — wedging on the WBAck that cannot come.
-		return verify.Scenario{
-			Name:  "mut-reorder-victims",
-			Lines: []cachearray.LineAddr{a, b},
-			CPU0:  []verify.AgentOp{st(a), st(b), ld(a)},
-			CPU1:  []verify.AgentOp{ld(a)},
-		}
-	case "stale-sharer-mask":
-		// CPU1 becomes a sharer the mask forgets: CPU0's write leaves
-		// CPU1's Shared copy alive — SWMR violated at the store.
-		return verify.Scenario{
-			Name:  "mut-stale-sharer-mask",
-			Lines: []cachearray.LineAddr{a},
-			CPU0:  []verify.AgentOp{st(a)},
-			CPU1:  []verify.AgentOp{ld(a), ld(a)},
+// mutant returns the registry entry called name.
+func mutant(t *testing.T, name string) Mutant {
+	t.Helper()
+	for _, m := range Mutants() {
+		if m.Name == name {
+			return m
 		}
 	}
-	panic("unknown mutator scenario " + name)
+	t.Fatalf("mutant %s missing from the registry", name)
+	return Mutant{}
 }
 
-// TestEveryVariantCatchesEveryWeakening: 3 new mutators × 6 paper
-// variants, each must produce a checker violation (oracle value/SWMR
-// check or livelock from the wedged transaction).
-func TestEveryVariantCatchesEveryWeakening(t *testing.T) {
-	for _, name := range []string{"drop-dirty-ack", "reorder-victims", "stale-sharer-mask"} {
-		mu := Weakenings()[name]
-		if mu == nil {
-			t.Fatalf("weakening %s missing from the registry", name)
+// TestMutantRegistryWellFormed: names are unique and each entry
+// carries exactly the fields of its layer.
+func TestMutantRegistryWellFormed(t *testing.T) {
+	seen := make(map[string]bool)
+	for _, m := range Mutants() {
+		if m.Name == "" || m.Doc == "" || seen[m.Name] {
+			t.Errorf("entry %q: empty or duplicate name, or no doc line", m.Name)
 		}
-		sc := mutatorScenario(name)
+		seen[m.Name] = true
+		fabric := m.Mutate != nil && m.Witness.Name != "" && len(m.Rules) > 0
+		model := m.Bug.Bug != 0
+		if (m.Layer == Fabric) != fabric || (m.Layer == Model) != model || fabric == model {
+			t.Errorf("entry %s: %s layer with mutator=%t witness=%q rules=%v bug=%d",
+				m.Name, m.Layer, m.Mutate != nil, m.Witness.Name, m.Rules, m.Bug.Bug)
+		}
+	}
+}
+
+// TestEveryVariantCatchesEveryWeakening runs every fabric mutant on its
+// witness scenario under each of the six paper variants: the model
+// checker must report a violation of one of the entry's rules, with a
+// counterexample that replays from scratch. The fault-injection library
+// is only trustworthy if no configuration masks a seeded bug.
+func TestEveryVariantCatchesEveryWeakening(t *testing.T) {
+	for _, m := range Mutants() {
+		if m.Layer != Fabric {
+			continue
+		}
 		for _, opts := range verify.Variants() {
-			opts := opts
-			t.Run(name+"/"+opts.Named(), func(t *testing.T) {
-				res := verify.Run(verify.Config{Opts: opts, Scenario: sc, Mutate: mu})
-				if res.Violation == nil {
-					t.Fatalf("weakening %s not caught under %s (states=%d paths=%d truncated=%v)",
-						name, opts.Named(), res.States, res.Paths, res.Truncated)
+			m, opts := m, opts
+			t.Run(m.Name+"/"+opts.Named(), func(t *testing.T) {
+				t.Parallel()
+				res := verify.Run(verify.Config{Opts: opts, Scenario: m.Witness, Mutate: m.Mutate})
+				v := res.Violation
+				if v == nil {
+					t.Fatalf("not caught (states=%d paths=%d truncated=%v)", res.States, res.Paths, res.Truncated)
 				}
-				t.Logf("caught: %v", res.Violation.Err)
+				if !slices.Contains(m.Rules, v.Err.Rule) {
+					t.Fatalf("caught as rule %q, want one of %v:\n%s", v.Err.Rule, m.Rules, v)
+				}
+				for i, step := range v.Trace {
+					if step == "<replay diverged>" {
+						t.Fatalf("trace step %d diverged on replay:\n%s", i+1, v)
+					}
+				}
+				t.Logf("caught: %v", v.Err)
 			})
 		}
 	}
@@ -78,7 +76,7 @@ func TestEveryVariantCatchesEveryWeakening(t *testing.T) {
 // that break the protocol by rewriting messages they should pass
 // through: with no store in flight there is no dirty ack, no dirty
 // victim, and no invalidation, so a read-sharing scenario must stay
-// clean under every mutator.
+// clean under every fabric mutant that does not declare otherwise.
 func TestWeakeningsAreIdentityOnHealthyTraffic(t *testing.T) {
 	const a = cachearray.LineAddr(0x10)
 	sc := verify.Scenario{
@@ -87,11 +85,55 @@ func TestWeakeningsAreIdentityOnHealthyTraffic(t *testing.T) {
 		CPU0:  []verify.AgentOp{{Kind: verify.Load, Line: a}},
 		CPU1:  []verify.AgentOp{{Kind: verify.Load, Line: a}},
 	}
-	for name, mu := range Weakenings() { //hsclint:deterministic — each entry checked independently
-		var mu2 noc.Mutator = mu
-		res := verify.Run(verify.Config{Opts: verify.Variants()[0], Scenario: sc, Mutate: mu2})
+	for _, m := range Mutants() {
+		if m.Layer != Fabric {
+			continue
+		}
+		if m.BreaksReadSharing != "" {
+			t.Logf("%s: exempt, %s", m.Name, m.BreaksReadSharing)
+			continue
+		}
+		res := verify.Run(verify.Config{Opts: verify.Variants()[0], Scenario: sc, Mutate: m.Mutate})
 		if res.Violation != nil {
-			t.Errorf("mutator %s corrupts healthy read-sharing traffic: %v", name, res.Violation)
+			t.Errorf("mutator %s corrupts healthy read-sharing traffic: %v", m.Name, res.Violation)
+		}
+	}
+}
+
+// TestFabricMutantsArePure pins the contract on verify.Config.Mutate
+// and system.Config.Mutate: a fabric mutant never writes to the message
+// it is handed (a rewrite is a copy) and returns equal results for
+// equal messages. Every message type is fed in each combination of the
+// fields the registry's mutators match on.
+func TestFabricMutantsArePure(t *testing.T) {
+	var samples []msg.Message
+	for ty := msg.RdBlk; ty <= msg.Unblock; ty++ {
+		for _, node := range []msg.NodeID{0, 1, 3} {
+			for _, grant := range []msg.Grant{msg.GrantS, msg.GrantM} {
+				for _, dirty := range []bool{false, true} {
+					samples = append(samples, msg.Message{
+						Type: ty, Addr: 0x10, Src: node, Dst: node,
+						HasData: dirty, Dirty: dirty, Grant: grant, TxnID: 7,
+					})
+				}
+			}
+		}
+	}
+	for _, m := range Mutants() {
+		if m.Layer != Fabric {
+			continue
+		}
+		for _, in := range samples {
+			arg := in
+			out := m.Mutate(&arg)
+			if arg != in {
+				t.Errorf("%s wrote to its argument: %s became %s", m.Name, &in, &arg)
+			}
+			arg2 := in
+			out2 := m.Mutate(&arg2)
+			if (out == nil) != (out2 == nil) || out != nil && *out != *out2 {
+				t.Errorf("%s is not deterministic on %s: %v then %v", m.Name, &in, out, out2)
+			}
 		}
 	}
 }

@@ -80,6 +80,8 @@ const (
 	// the active transaction have drained: the grant races the
 	// invalidations it depends on, and two Modified copies coexist.
 	BugSkipAck
+	// numBugs ends the list; tests enumerate the values below it.
+	numBugs
 )
 
 // ModelConfig selects the abstract variant to explore.

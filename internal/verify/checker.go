@@ -10,41 +10,17 @@ import (
 	"hscsim/internal/stats"
 )
 
-// Ordering selects the network delivery model the checker explores.
-type Ordering uint8
-
-// Delivery orderings.
-const (
-	// OrderUnordered explores every delivery order of every in-flight
-	// message — an adversarial fabric with no ordering guarantees at
-	// all, strictly weaker than what any real interconnect provides.
-	OrderUnordered Ordering = iota
-	// OrderPerLinkFIFO restricts delivery to the oldest in-flight
-	// message per (src, dst) pair: point-to-point ordering, the
-	// guarantee the paper's gem5 network (and this repo's noc, which
-	// has a single fixed latency) actually gives.
-	OrderPerLinkFIFO
-)
-
-func (o Ordering) String() string {
-	if o == OrderPerLinkFIFO {
-		return "fifo"
-	}
-	return "unordered"
-}
-
 // Config selects what the model checker explores.
 type Config struct {
 	Opts     core.Options
 	Scenario Scenario
-	// Order is the delivery model (default: fully unordered).
-	Order Ordering
 	// Mutate, when non-nil, rewrites (or drops, by returning nil) every
-	// message at delivery time. Used by negative tests to seed protocol
-	// bugs the checker must catch. It MUST be a pure function of the
-	// message: the stateless search re-executes action prefixes from
-	// scratch, so a mutator that keeps state across calls would make
-	// replays diverge from the runs that discovered them.
+	// message at delivery time, seeding a protocol bug the checker must
+	// catch (the fabric entries of conform.Mutants). It MUST be a pure
+	// function of the message that writes only to a copy: the stateless
+	// search re-executes action prefixes from scratch, so a mutator that
+	// keeps state across calls would make replays diverge from the runs
+	// that discovered them.
 	Mutate func(*msg.Message) *msg.Message
 	// MaxStates bounds exploration (0 = the package default). Hitting
 	// the bound sets Result.Truncated rather than failing.

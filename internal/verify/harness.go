@@ -68,19 +68,6 @@ func (f *chaosFabric) deliver(i int) {
 	}
 }
 
-// queuedBehind reports whether an older pending message shares pending
-// message i's (src, dst) link. The pending slice preserves send order
-// and holds only a handful of messages, so a scan beats any index.
-func (f *chaosFabric) queuedBehind(i int) bool {
-	m := f.pending[i]
-	for _, o := range f.pending[:i] {
-		if o.Src == m.Src && o.Dst == m.Dst {
-			return true
-		}
-	}
-	return false
-}
-
 // chaosMem implements core.MemPort with explicit completion: read
 // callbacks are buffered until the checker fires them, exploring memory
 // reordering against probe traffic. Posted writes complete instantly
@@ -187,7 +174,6 @@ type harness struct {
 	oracle *Oracle
 	agents []*agent
 	lines  []cachearray.LineAddr
-	order  Ordering
 
 	violation *core.ProtocolViolation
 
@@ -225,7 +211,7 @@ func newHarness(cfg Config, reg *stats.Registry) *harness {
 		L2SizeBytes: 128, L2Assoc: 1, // 2 sets: lines 0x10/0x12 conflict
 		BlockSize: 64, L1Latency: 1, L2Latency: 1,
 	}
-	h := &harness{engine: engine, fab: fab, mem: cmem, fm: fm, lines: sc.Lines, order: cfg.Order}
+	h := &harness{engine: engine, fab: fab, mem: cmem, fm: fm, lines: sc.Lines}
 	h.cpus = append(h.cpus,
 		corepair.New(engine, fab, nodeL2A, nodeDir, cpCfg, reg.Scope("l2a")),
 		corepair.New(engine, fab, nodeL2B, nodeDir, cpCfg, reg.Scope("l2b")),
@@ -295,17 +281,13 @@ type action struct {
 	idx  int
 }
 
-// enabled lists the schedulable actions in a deterministic order. Under
-// OrderPerLinkFIFO only the oldest pending message of each (src, dst)
-// link is deliverable — the point-to-point ordering real networks
-// provide; OrderUnordered exposes every pending message. The returned
-// slice is the harness's reused buffer, overwritten by the next call.
+// enabled lists the schedulable actions in a deterministic order. Every
+// pending message is deliverable: the fabric guarantees no ordering at
+// all, not even per link. The returned slice is the harness's reused
+// buffer, overwritten by the next call.
 func (h *harness) enabled() []action {
 	out := h.acts[:0]
 	for i := range h.fab.pending {
-		if h.order == OrderPerLinkFIFO && h.fab.queuedBehind(i) {
-			continue
-		}
 		out = append(out, action{'m', i})
 	}
 	for i := range h.mem.pending {
@@ -482,16 +464,10 @@ func (h *harness) fingerprint() []byte {
 	for _, ag := range h.agents {
 		b = append(appendInt(b, ag.next), flags(ag.inflight))
 	}
+	// Unordered delivery: the pending multiset is the state, its order
+	// is free.
 	msgs := append(h.msgs[:0], h.fab.pending...)
-	if h.order == OrderPerLinkFIFO {
-		// Per-link queue order is part of the state (the pending slice
-		// preserves send order); the interleaving between links is not.
-		// Canonical form: per-link sequences, links sorted.
-		slices.SortStableFunc(msgs, cmpLink)
-	} else {
-		// Unordered delivery: the multiset is the state, order is free.
-		slices.SortFunc(msgs, cmpMsg)
-	}
+	slices.SortFunc(msgs, cmpMsg)
 	b = appendInt(b, len(msgs))
 	for _, m := range msgs {
 		b = append(b, byte(m.Type))
@@ -514,14 +490,9 @@ func (h *harness) fingerprint() []byte {
 	return b
 }
 
-// cmpLink orders messages by (src, dst) link.
-func cmpLink(a, b *msg.Message) int {
-	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-}
-
 // cmpMsg totally orders messages by every field fingerprint encodes.
 func cmpMsg(a, b *msg.Message) int {
-	return cmp.Or(cmpLink(a, b),
+	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst),
 		cmp.Compare(a.Type, b.Type),
 		cmp.Compare(a.Addr, b.Addr),
 		cmp.Compare(a.Grant, b.Grant),
